@@ -459,9 +459,7 @@ impl IncrementalChase {
     /// — inconsistency (which does not attribute a culprit tuple) or a
     /// resource trip (which leaves every batch row speculative) — the
     /// caller must discard this engine and rebuild from the pre-batch
-    /// state. `core::serving` pairs that contract with the PR4
-    /// abort-marker discipline so log == memory still holds; see
-    /// DESIGN.md §16.
+    /// state (DESIGN.md §16).
     pub fn insert_batch<'a, I>(&mut self, tuples: I, guard: &Guard) -> Result<ChaseStats, ExecError>
     where
         I: IntoIterator<Item = (&'a Tuple, Option<usize>)>,
@@ -507,36 +505,6 @@ impl IncrementalChase {
             count,
         });
         Ok(self.stats)
-    }
-
-    /// Applies a batch of deletes. The union-find cannot unmerge, so a
-    /// delete is inherently a rebuild — but a batch costs **one**
-    /// rebuild from the post-delete state instead of one per op: the
-    /// caller removes the tuples from `state` first and hands the
-    /// result here. The engine is replaced wholesale (fd set, trace
-    /// sink, rendered labels, provenance flag and capacity cap are
-    /// kept; poisoning is discarded — the post-delete state is chased
-    /// fresh) and run to fixpoint under `guard`. On error the engine
-    /// holds the *unchased* post-delete rows; the caller rebuilds, as
-    /// with [`insert_batch`](IncrementalChase::insert_batch).
-    pub fn delete_batch(
-        &mut self,
-        scheme: &DatabaseScheme,
-        state: &DatabaseState,
-        guard: &Guard,
-    ) -> Result<ChaseStats, ExecError> {
-        let mut fresh = IncrementalChase::new(scheme.universe().len(), &self.fds);
-        fresh.trace = self.trace.clone();
-        fresh.scope = self.scope.clone();
-        fresh.fd_labels = self.fd_labels.clone();
-        fresh.col_labels = self.col_labels.clone();
-        fresh.provenance = self.provenance;
-        fresh.node_cap = self.node_cap;
-        for (i, t) in state.iter_all() {
-            fresh.push_tuple(t, Some(i))?;
-        }
-        *self = fresh;
-        self.run(guard)
     }
 
     /// Chases to fixpoint (or resumes a budget-interrupted chase),
@@ -1514,21 +1482,5 @@ mod tests {
         // Single rollback point: the whole batch is poisoned, callers
         // rebuild from the pre-batch state.
         assert!(e.failure().is_some());
-    }
-
-    #[test]
-    fn delete_batch_rebuilds_once_from_post_delete_state() {
-        let (scheme, state) = merging_fixture();
-        let kd = KeyDeps::of(&scheme);
-        let mut e = IncrementalChase::of_state(&scheme, &state, kd.full()).unwrap();
-        e.run(&Guard::unlimited()).unwrap();
-        // Delete R2's tuple: the post-delete state has only R1's.
-        let mut after = state.clone();
-        let victim = state.relation(1).iter().next().unwrap().clone();
-        assert!(after.remove(1, &victim).unwrap());
-        e.delete_batch(&scheme, &after, &Guard::unlimited()).unwrap();
-        let mut oracle = IncrementalChase::of_state(&scheme, &after, kd.full()).unwrap();
-        oracle.run(&Guard::unlimited()).unwrap();
-        assert_eq!(e.to_tableau(), oracle.to_tableau());
     }
 }

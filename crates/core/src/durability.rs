@@ -1,59 +1,54 @@
-//! The durability hook the engine calls around every mutation.
+//! The durability hook the write pipeline calls once per write unit.
 //!
 //! The paper's maintenance theorems (4.1/4.2) reduce state evolution to a
 //! sequence of small insert/delete steps, which is exactly the shape of a
 //! write-ahead log. This module defines the *interface* the
-//! [`Session`](crate::Session) mutation paths call; the implementation —
-//! an append-only checksummed WAL with snapshots and crash recovery —
-//! lives in `idr-store`, keeping this crate free of filesystem concerns.
+//! [`Hub`](crate::Hub) write path calls; the implementation — an
+//! append-only checksummed WAL with group commit, snapshots and crash
+//! recovery — lives in `idr-store` (`idr_store::SharedStore`), keeping
+//! this crate free of filesystem concerns.
 //!
-//! ## Contract
+//! ## Contract: verdicts first, one log call, nothing to undo
 //!
-//! The session upholds write-ahead ordering: [`Durability::log_op`] is
-//! called **before** any in-memory mutation. If the op later fails with a
-//! typed error (a guard trip mid-chase), the session rolls its memory
-//! back and calls [`Durability::log_abort`], so the log and memory agree
-//! again: a recovery replaying the log skips aborted records. Ops that
-//! complete with a verdict — accepted *or* rejected inserts, present or
-//! absent deletes — are left in the log as-is; replaying them through the
-//! same guarded session path re-earns the same verdict deterministically.
+//! Every write — a per-op [`insert`](crate::WriteHandle::insert) or
+//! [`delete`](crate::WriteHandle::delete) is a group of one — runs as one
+//! unit under its blocks' write locks:
 //!
-//! After every completed op the session calls
-//! [`Durability::op_finished`] with the post-op state, giving the
-//! implementation a safe point to cut a snapshot and truncate the log.
+//! 1. every op **earns its verdict** first (Theorem 4.2 makes a verdict
+//!    a property of one block's chase), editing the block's substate in
+//!    place;
+//! 2. the whole unit is handed to [`DurabilitySink::log_ops`] in **one**
+//!    call — accepted *and* rejected inserts, present *and* absent
+//!    deletes; replaying them through the same path re-earns the same
+//!    verdicts deterministically;
+//! 3. a typed error anywhere before `log_ops` returns (a guard trip, a
+//!    poisoned block, a storage failure) undoes the unit's substate
+//!    edits and logs nothing.
 //!
-//! ## Two trait shapes
+//! So a logged unit always applied and an unlogged one never did: log ==
+//! memory holds with no abort records to write or filter.
 //!
-//! [`Durability`] is the original single-writer hook: `&mut self`
-//! methods, borrowed by one [`Session`](crate::Session) at a time. The
-//! concurrent serving layer ([`Hub`](crate::Hub) /
-//! [`WriteHandle`](crate::WriteHandle)) instead *owns* its sink as an
-//! `Arc<dyn DurabilitySink>`: `&self` methods callable from many writer
-//! threads at once, with the implementation free to coalesce concurrent
-//! appends into one fsync (group commit — `idr_store::SharedStore`).
-//! Snapshot cutting splits in two under concurrency: the sink only
-//! *reports* that a snapshot is due ([`DurabilitySink::op_finished`]),
-//! and the hub quiesces every block before handing over a consistent
-//! state ([`DurabilitySink::write_snapshot`]).
+//! After every unit the hub calls [`DurabilitySink::op_finished`] with
+//! the unit's op count; when the sink reports a snapshot due, the hub
+//! quiesces every block and hands over a consistent cut
+//! ([`DurabilitySink::write_snapshot`]).
 
 use idr_relation::exec::ExecError;
 use idr_relation::{DatabaseState, Tuple};
 
-/// One loggable session mutation, borrowed from the caller at the
-/// write-ahead point (before the in-memory state changes).
+/// One loggable mutation, borrowed from the caller at the write-ahead
+/// point (after its verdict is known, before the unit is acknowledged).
 #[derive(Clone, Copy, Debug)]
 pub enum DurableOp<'a> {
-    /// [`Session::insert`](crate::Session::insert) of `t` into relation
-    /// `rel` — logged whether the insert ends up accepted or rejected;
-    /// replay re-derives the verdict.
+    /// An insert of `t` into relation `rel` — logged whether the insert
+    /// was accepted or rejected; replay re-derives the verdict.
     Insert {
         /// Target relation index.
         rel: usize,
         /// The tuple being inserted.
         t: &'a Tuple,
     },
-    /// [`Session::delete`](crate::Session::delete) of `t` from relation
-    /// `rel`.
+    /// A delete of `t` from relation `rel`, present or absent.
     Delete {
         /// Target relation index.
         rel: usize,
@@ -62,78 +57,34 @@ pub enum DurableOp<'a> {
     },
 }
 
-/// A write-ahead durability sink for session mutations. Implemented by
-/// `idr_store::Store`; the engine only sees this trait, so the core crate
-/// stays independent of the storage layer.
+/// A write-ahead durability sink shared by concurrent writers: `&self`
+/// methods, so many [`WriteHandle`](crate::WriteHandle)s can log at
+/// once. Implementations serialise (or group-commit) internally;
+/// `idr_store::SharedStore` is the canonical one.
 ///
 /// Errors are surfaced as [`ExecError`] (storage failures map to
-/// [`ExecError::Faulted`]); a failed `log_op` aborts the mutation before
-/// memory changes, keeping log and memory in agreement.
-pub trait Durability: std::fmt::Debug {
-    /// Appends the intent record for `op`. Called before the session
-    /// mutates in-memory state; on `Err` the mutation is not attempted.
-    fn log_op(&mut self, op: DurableOp<'_>) -> Result<(), ExecError>;
-
-    /// Marks the most recently logged op as rolled back. Called when the
-    /// mutation failed with a typed error after `log_op` (the session has
-    /// already restored its in-memory state).
-    fn log_abort(&mut self) -> Result<(), ExecError>;
-
-    /// Called after every op that reached a verdict, with the post-op
-    /// state. Implementations use this to cut periodic snapshots and
-    /// compact the log.
-    fn op_finished(&mut self, state: &DatabaseState) -> Result<(), ExecError>;
-}
-
-/// A write-ahead durability sink shared by concurrent writers: the same
-/// log/abort contract as [`Durability`], but through `&self` so many
-/// [`WriteHandle`](crate::WriteHandle)s can log at once. Implementations
-/// serialise (or group-commit) internally; `idr_store::SharedStore` is
-/// the canonical one.
-///
-/// The write pipeline calls [`log_op`](DurabilitySink::log_op) while
-/// holding the target block's write lock, so the log order of any one
-/// block equals its apply order — which, per Theorem 4.2 block
-/// independence, makes a serial replay of the whole log reproduce the
-/// concurrent final state.
+/// [`ExecError::Faulted`]). The write pipeline calls
+/// [`log_ops`](DurabilitySink::log_ops) while holding every involved
+/// block's write lock, so the log order of any one block equals its
+/// apply order — which, per Theorem 4.2 block independence, makes a
+/// serial replay of the whole log reproduce the concurrent final state.
 pub trait DurabilitySink: std::fmt::Debug + Send + Sync {
-    /// Appends (and makes durable) the intent record for `op`. Called
-    /// before the in-memory mutation, under the target block's write
-    /// lock; on `Err` the mutation is not attempted.
-    fn log_op(&self, op: DurableOp<'_>) -> Result<(), ExecError>;
-
-    /// Appends (and makes durable) the intent records for a whole batch
-    /// of ops, in order, as one durability unit. The batch write path
-    /// ([`WriteHandle::apply_batch`](crate::WriteHandle::apply_batch))
-    /// calls this once per batch while holding every involved block's
-    /// write lock, *after* chase verdicts are known and *before* any
-    /// in-memory state mutation — so a failed batch logs nothing and a
-    /// logged batch always applies, keeping log == memory without abort
-    /// markers.
+    /// Appends (and makes durable) the records of one write unit, in
+    /// order, as one durability unit. Called once per unit, *after*
+    /// every op's verdict is known; on `Err` the hub undoes the unit, so
+    /// a failed call must leave no record of it behind.
     ///
-    /// The default implementation loops [`log_op`](DurabilitySink::log_op)
-    /// (N commit barriers); `idr_store::SharedStore` overrides it to ride
-    /// the whole batch on one group-commit barrier — one write pass, one
-    /// fsync.
-    fn log_ops(&self, ops: &[DurableOp<'_>]) -> Result<(), ExecError> {
-        for &op in ops {
-            self.log_op(op)?;
-        }
-        Ok(())
-    }
+    /// `idr_store::SharedStore` rides the whole unit on one group-commit
+    /// barrier — one write pass, one fsync.
+    fn log_ops(&self, ops: &[DurableOp<'_>]) -> Result<(), ExecError>;
 
-    /// Marks this writer's most recently logged op as rolled back.
-    /// Called under the same block lock as the `log_op` it cancels, so
-    /// the abort marker lands before any later op of the same block.
-    fn log_abort(&self) -> Result<(), ExecError>;
-
-    /// Called after every op that reached a verdict. Returns `true` when
-    /// the sink wants a snapshot — the caller then quiesces every block
-    /// and calls [`write_snapshot`](DurabilitySink::write_snapshot) with
-    /// the resulting consistent state.
-    fn op_finished(&self) -> Result<bool, ExecError>;
+    /// Called after every logged unit with its op count. Returns `true`
+    /// when the sink wants a snapshot — the caller then quiesces every
+    /// block and calls [`write_snapshot`](DurabilitySink::write_snapshot)
+    /// with the resulting consistent state.
+    fn op_finished(&self, ops: usize) -> Result<bool, ExecError>;
 
     /// Cuts a snapshot of `state` and rotates the log. Only called with
-    /// a quiesced, consistent cut (no in-flight `log_op` anywhere).
+    /// a quiesced, consistent cut (no in-flight `log_ops` anywhere).
     fn write_snapshot(&self, state: &DatabaseState) -> Result<(), ExecError>;
 }

@@ -3,14 +3,14 @@
 //! [`Engine`] front-loads everything that depends only on the *scheme* —
 //! key dependencies, Algorithm 6 recognition, the full classification,
 //! and (lazily, cached) the Theorem 4.1 chase-free projection
-//! expressions. A [`Session`] then binds the engine to one database
-//! *state*: it chases the state once at construction and afterwards
-//! answers [`is_consistent`](Session::is_consistent) in O(1) and serves
-//! inserts through the [`IncrementalChase`] worklist path, so a stream of
-//! updates never re-chases from scratch.
+//! expressions. A [`Hub`] then binds the engine to one database *state*:
+//! it chases the state once at construction and afterwards answers
+//! [`is_consistent`](Hub::is_consistent) in O(blocks) and serves writes
+//! through the [`IncrementalChase`] worklist path, so a stream of updates
+//! never re-chases from scratch.
 //!
-//! For independence-reducible schemes the session exploits Theorems 4.1
-//! and 4.2: each block of the IR partition is chased *separately* (the
+//! For independence-reducible schemes the hub exploits Theorems 4.1 and
+//! 4.2: each block of the IR partition is chased *separately* (the
 //! blocks are independent, so per-block consistency is global
 //! consistency), and when the engine is built with
 //! [`parallel`](Engine::with_parallel) enabled the per-block chases run
@@ -24,15 +24,9 @@
 //! cached Theorem 4.1 expressions evaluated over the base state; non-IR
 //! schemes fall back to a single whole-state chase.
 //!
-//! Mutations can be made durable by attaching a write-ahead sink
-//! (owned by the hub via [`Engine::hub_with`], or borrowed by the legacy
-//! [`Session::with_durability`]): every op then commits to the log
-//! before touching memory.
-//!
-//! Since 0.7 the serving surface is the [`Hub`] with its split
-//! [`ReadView`](crate::ReadView) / [`WriteHandle`](crate::WriteHandle)
-//! API (`crate::serving`); [`Session`] remains as a single-threaded
-//! compatibility shim over one hub.
+//! Mutations can be made durable by handing the hub a write-ahead sink
+//! ([`Engine::hub_with`]): every write unit earns its verdicts, then
+//! commits to the log in one call before it is acknowledged.
 //!
 //! # Examples
 //!
@@ -81,9 +75,8 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
-use idr_chase::{IncrementalChase, RejectionExplanation, TupleExplanation};
+use idr_chase::IncrementalChase;
 use idr_fd::KeyDeps;
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
 use idr_relation::algebra::Expr;
@@ -91,7 +84,7 @@ use idr_relation::exec::{ExecError, Guard};
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Tuple};
 
 use crate::classify::{classify, Classification};
-use crate::durability::{Durability, DurabilitySink, DurableOp};
+use crate::durability::DurabilitySink;
 use crate::kep;
 use crate::query::ir_total_projection_expr;
 use crate::recognition::{recognize, IrScheme, Recognition};
@@ -116,7 +109,7 @@ pub struct Observability {
     /// operations, guard spend) and latency histograms.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// When set, block engines record the fd-firing merge forest, and
-    /// [`Session::explain`] / [`Session::explain_rejection`] return full
+    /// [`Hub::explain`] / [`Hub::explain_rejection`] return full
     /// derivation chains.
     pub provenance: bool,
 }
@@ -132,7 +125,7 @@ impl Observability {
 /// alone. Construction runs Algorithm 6 once; classification and the
 /// Theorem 4.1 projection expressions are computed lazily and cached.
 ///
-/// The engine is `Sync`: one engine can serve many sessions (and many
+/// The engine is `Sync`: one engine can serve many hubs (and many
 /// threads) concurrently.
 #[derive(Debug)]
 pub struct Engine {
@@ -299,7 +292,8 @@ impl Engine {
         Ok(self.hub(state, guard)?.is_consistent())
     }
 
-    /// One-shot X-total projection `[x]`. `Ok(None)` when the state is
+    /// One-shot X-total projection `[x]`: builds a throwaway [`Hub`] and
+    /// queries its epoch-0 read view. `Ok(None)` when the state is
     /// inconsistent.
     pub fn total_projection(
         &self,
@@ -307,7 +301,7 @@ impl Engine {
         x: AttrSet,
         guard: &Guard,
     ) -> Result<Option<Vec<Tuple>>, ExecError> {
-        self.hub(state, guard)?.query_live(state, x, guard)
+        self.hub(state, guard)?.read_view().total_projection(x, guard)
     }
 
     /// Binds the engine to a state for concurrent service: chases every
@@ -322,8 +316,9 @@ impl Engine {
 
     /// Like [`hub`](Engine::hub), with an owned write-ahead durability
     /// sink (e.g. `idr_store::SharedStore`) shared by every
-    /// [`WriteHandle`](crate::WriteHandle): mutations commit to the log
-    /// before memory, concurrent writers' appends may group-commit into
+    /// [`WriteHandle`](crate::WriteHandle): every write unit commits to
+    /// the log once its verdicts are earned and before it is
+    /// acknowledged; concurrent writers' appends may group-commit into
     /// one fsync.
     pub fn hub_with(
         &self,
@@ -332,24 +327,6 @@ impl Engine {
         sink: Arc<dyn DurabilitySink>,
     ) -> Result<Hub<'_>, ExecError> {
         Hub::build(self, state, guard, Some(sink))
-    }
-
-    /// Binds the engine to a state behind the pre-0.7 single-threaded
-    /// [`Session`] facade. The session is now a thin shim over one
-    /// [`Hub`]; new code should call [`hub`](Engine::hub) and use the
-    /// split `ReadView`/`WriteHandle` API — see DESIGN.md §14 for the
-    /// migration guide.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use Engine::hub and the split ReadView/WriteHandle API (DESIGN.md §14)"
-    )]
-    pub fn session(&self, state: &DatabaseState, guard: &Guard) -> Result<Session<'_>, ExecError> {
-        Ok(Session {
-            hub: Hub::build(self, state, guard, None)?,
-            state: state.clone(),
-            last_rejection: None,
-            durability: None,
-        })
     }
 
     /// Whether block-parallel evaluation is enabled.
@@ -420,198 +397,6 @@ fn finish_run(mut e: IncrementalChase, guard: &Guard) -> Result<IncrementalChase
     }
 }
 
-/// An [`Engine`] bound to one database state — the pre-0.7
-/// single-threaded facade, kept as a thin compatibility shim over one
-/// [`Hub`]. Consistency is still O(blocks) and an insert still only
-/// re-chases what the new tuple touches; the hub does the work, the
-/// shim preserves the original `&mut self` surface, the borrowed
-/// [`Durability`] sink, and the exact legacy event/metric order.
-///
-/// New code should use [`Engine::hub`] with the split
-/// [`ReadView`](crate::ReadView) / [`WriteHandle`](crate::WriteHandle)
-/// API; see DESIGN.md §14 for the migration guide.
-#[derive(Debug)]
-pub struct Session<'e> {
-    hub: Hub<'e>,
-    /// Mirror of the hub's base state, so [`state`](Session::state) can
-    /// keep returning a borrow.
-    state: DatabaseState,
-    /// Provenance of the most recent rejected insert, captured *before*
-    /// the poisoned block tableau is rebuilt (the rebuild discards the
-    /// chase that found the violation).
-    last_rejection: Option<RejectionExplanation>,
-    /// Optional write-ahead durability sink: when attached, every
-    /// mutation is logged *before* memory changes and aborted on
-    /// rollback, so the log and memory always agree. (`+ 'static` keeps
-    /// `Session<'e>` covariant in `'e`.)
-    durability: Option<&'e mut (dyn Durability + 'static)>,
-}
-
-impl<'e> Session<'e> {
-    /// Attaches a write-ahead [`Durability`] sink (e.g.
-    /// `idr_store::Store`). From then on every [`insert`](Session::insert)
-    /// / [`delete`](Session::delete) logs its intent record before
-    /// mutating memory, appends an abort marker when a guard trip rolls
-    /// the mutation back, and offers the post-op state to the sink for
-    /// periodic snapshots. The sink must resolve the same interned
-    /// [`idr_relation::Value`]s the session's tuples use — intern through
-    /// the sink's own symbol table.
-    pub fn with_durability(mut self, sink: &'e mut (dyn Durability + 'static)) -> Self {
-        self.durability = Some(sink);
-        self
-    }
-}
-
-impl Session<'_> {
-    /// The engine this session was created from.
-    pub fn engine(&self) -> &Engine {
-        self.hub.engine()
-    }
-
-    /// The current state (base relations, reflecting accepted inserts and
-    /// deletes).
-    pub fn state(&self) -> &DatabaseState {
-        &self.state
-    }
-
-    /// Whether the current state is consistent — O(blocks), no chasing.
-    pub fn is_consistent(&self) -> bool {
-        self.hub.is_consistent()
-    }
-
-    /// Block indexes whose substate is inconsistent (always `[0]` or `[]`
-    /// for the whole-state backend).
-    pub fn inconsistent_blocks(&self) -> Vec<usize> {
-        self.hub.inconsistent_blocks()
-    }
-
-    /// Inserts `t` into relation `i` if the result stays consistent.
-    ///
-    /// `Ok(true)`: accepted and applied (incrementally — only the rows the
-    /// new tuple touches are re-chased). `Ok(false)`: rejected, the state
-    /// is unchanged (the touched block's tableau is rebuilt from the
-    /// untouched state; the rebuild replays a chase already known to
-    /// succeed, so it is not charged). `Err(Inconsistent)`: the base
-    /// state was already inconsistent — maintenance needs a consistent
-    /// base. Other `Err`s are guard trips; the insert then did *not*
-    /// happen — the speculative row is rolled back (the tableau is rebuilt
-    /// from the unchanged base state), so queries keep answering from the
-    /// pre-insert state and the caller may simply retry with a fresh
-    /// guard.
-    pub fn insert(&mut self, i: usize, t: Tuple, guard: &Guard) -> Result<bool, ExecError> {
-        let t0 = Instant::now();
-        if let Some(f) = self.hub.block_failure(i) {
-            return Err(f);
-        }
-        // Write-ahead: commit the intent record before any memory changes.
-        if let Some(d) = self.durability.as_mut() {
-            d.log_op(DurableOp::Insert { rel: i, t: &t })?;
-        }
-        let outcome = match self.hub.insert_op(i, t.clone(), guard) {
-            Ok((true, _)) => {
-                self.state
-                    .insert(i, t)
-                    .expect("tuple was chased against scheme i, so it matches scheme i");
-                Ok(true)
-            }
-            Ok((false, why)) => {
-                self.last_rejection = why;
-                Ok(false)
-            }
-            Err(e) => {
-                // The hub already rolled the op back (the tableau is
-                // rebuilt from the unchanged base state); mark the logged
-                // record aborted so recovery skips it and the log agrees
-                // with memory again.
-                if let Some(d) = self.durability.as_mut() {
-                    d.log_abort()?;
-                }
-                Err(e)
-            }
-        };
-        if outcome.is_ok() {
-            if let Some(d) = self.durability.as_mut() {
-                d.op_finished(&self.state)?;
-            }
-        }
-        if let Ok(&accepted) = outcome.as_ref() {
-            self.hub.emit_insert_event(i, accepted, t0, guard);
-        }
-        outcome
-    }
-
-    /// Removes `t` from relation `i`. Deletion never breaks consistency
-    /// but can *restore* it, and the chase has no incremental delete — the
-    /// touched block's tableau is rebuilt (charged against `guard`).
-    /// `Ok(false)` when the tuple was not present. On `Err` (a guard trip
-    /// mid-rebuild) the delete did *not* happen: the tuple is restored to
-    /// the base state, matching the old tableau that is still answering
-    /// queries, and the caller may retry with a fresh guard.
-    pub fn delete(&mut self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
-        // Write-ahead: commit the intent record before any memory changes.
-        if let Some(d) = self.durability.as_mut() {
-            d.log_op(DurableOp::Delete { rel: i, t })?;
-        }
-        let removed = match self.hub.delete_op(i, t, guard) {
-            Ok(removed) => removed,
-            Err(e) => {
-                // The hub restored the tuple (delete is all-or-nothing);
-                // mark the logged record aborted.
-                if let Some(d) = self.durability.as_mut() {
-                    d.log_abort()?;
-                }
-                return Err(e);
-            }
-        };
-        if removed {
-            self.state
-                .remove(i, t)
-                .expect("the hub just removed this tuple from its slot");
-        }
-        if let Some(d) = self.durability.as_mut() {
-            d.op_finished(&self.state)?;
-        }
-        self.hub.emit_delete_event(i, removed, guard);
-        Ok(removed)
-    }
-
-    /// The X-total projection `[x]` of the current state. `Ok(None)` when
-    /// the state is inconsistent. On IR schemes this is chase-free: the
-    /// cached Theorem 4.1 expression is evaluated over the base state.
-    pub fn total_projection(
-        &self,
-        x: AttrSet,
-        guard: &Guard,
-    ) -> Result<Option<Vec<Tuple>>, ExecError> {
-        self.hub.query_live(&self.state, x, guard)
-    }
-
-    /// Provenance for a derived tuple: searches the chased block
-    /// tableaux (in block order) for a row witnessing `t` total on `x`
-    /// and returns its per-column fd-firing chains. Chains are empty
-    /// unless the engine was built with
-    /// [`Observability::provenance`] set. `None` when no row witnesses
-    /// `t` — in particular when `t` is not in the X-total projection.
-    pub fn explain(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
-        self.hub.explain(x, t)
-    }
-
-    /// Provenance of the most recent *rejected* insert: the violated key
-    /// dependency, the clash column, the two witness rows (with origin
-    /// tags), and — with [`Observability::provenance`] — the fd-firing
-    /// chains under which the witnesses' left-hand sides came to agree.
-    /// Survives the block rebuild that follows a rejection; `None` until
-    /// an insert has been rejected.
-    pub fn explain_rejection(&self) -> Option<&RejectionExplanation> {
-        self.last_rejection.as_ref()
-    }
-
-    /// Aggregated chase work across every block tableau.
-    pub fn chase_stats(&self) -> idr_chase::ChaseStats {
-        self.hub.chase_stats()
-    }
-}
-
 /// Evaluates `f(0), …, f(count − 1)` into index-ordered slots, on scoped
 /// threads when `parallel` (blocks are split evenly across
 /// `available_parallelism` workers). The output order — and therefore
@@ -653,10 +438,8 @@ where
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the behaviour of the legacy Session shim itself.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::serving::ReadView;
     use idr_relation::exec::Budget;
     use idr_relation::{state_of, SchemeBuilder, SymbolTable};
     use idr_workload::generators::block_chain_scheme;
@@ -693,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_sessions_agree() {
+    fn parallel_and_serial_hubs_agree() {
         let db = block_chain_scheme(4, 3);
         for seed in 0..4u64 {
             let mut sym = SymbolTable::new();
@@ -711,27 +494,27 @@ mod tests {
             let par = Engine::new(db.clone()).with_parallel(true);
             let ser = Engine::new(db.clone()).with_parallel(false);
             let g = Guard::unlimited();
-            let sp = par.session(&w.state, &g).unwrap();
-            let ss = ser.session(&w.state, &g).unwrap();
-            assert_eq!(sp.is_consistent(), ss.is_consistent(), "seed {seed}");
+            let hp = par.hub(&w.state, &g).unwrap();
+            let hs = ser.hub(&w.state, &g).unwrap();
+            assert_eq!(hp.is_consistent(), hs.is_consistent(), "seed {seed}");
             assert_eq!(
-                sp.inconsistent_blocks(),
-                ss.inconsistent_blocks(),
+                hp.inconsistent_blocks(),
+                hs.inconsistent_blocks(),
                 "seed {seed}"
             );
             let x = AttrSet::from_iter(
                 (0..2).map(idr_relation::Attribute::from_index),
             );
             assert_eq!(
-                sp.total_projection(x, &g).unwrap(),
-                ss.total_projection(x, &g).unwrap(),
+                hp.read_view().total_projection(x, &g).unwrap(),
+                hs.read_view().total_projection(x, &g).unwrap(),
                 "seed {seed}"
             );
         }
     }
 
     #[test]
-    fn session_matches_whole_state_chase() {
+    fn one_shot_engine_calls_match_whole_state_chase() {
         let db = two_block_scheme();
         let mut sym = SymbolTable::new();
         let state = state_of(
@@ -765,7 +548,8 @@ mod tests {
         let state = state_of(&db, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
         let e = Engine::new(db.clone());
         let g = Guard::unlimited();
-        let mut s = e.session(&state, &g).unwrap();
+        let hub = e.hub(&state, &g).unwrap();
+        let w = hub.write_handle();
         let u = db.universe();
 
         // Consistent insert into the other block.
@@ -773,27 +557,27 @@ mod tests {
             (u.attr_of("C"), sym.intern("c")),
             (u.attr_of("D"), sym.intern("d")),
         ]);
-        assert!(s.insert(1, t_ok.clone(), &g).unwrap());
-        assert!(s.state().relation(1).contains(&t_ok));
+        assert!(w.insert(1, t_ok.clone(), &g).unwrap());
+        assert!(hub.read_view().state().relation(1).contains(&t_ok));
 
-        // Key violation in block 0: rejected, state unchanged, session
-        // still consistent.
+        // Key violation in block 0: rejected, state unchanged, hub still
+        // consistent.
         let t_bad = Tuple::from_pairs([
             (u.attr_of("A"), sym.intern("a")),
             (u.attr_of("B"), sym.intern("b2")),
         ]);
-        assert!(!s.insert(0, t_bad.clone(), &g).unwrap());
-        assert!(!s.state().relation(0).contains(&t_bad));
-        assert!(s.is_consistent());
+        assert!(!w.insert(0, t_bad.clone(), &g).unwrap());
+        assert!(!hub.read_view().state().relation(0).contains(&t_bad));
+        assert!(hub.is_consistent());
 
         // The rejected tuple is accepted after deleting its rival.
         let t_old = Tuple::from_pairs([
             (u.attr_of("A"), sym.intern("a")),
             (u.attr_of("B"), sym.intern("b")),
         ]);
-        assert!(s.delete(0, &t_old, &g).unwrap());
-        assert!(s.insert(0, t_bad, &g).unwrap());
-        assert!(s.is_consistent());
+        assert!(w.delete(0, &t_old, &g).unwrap());
+        assert!(w.insert(0, t_bad, &g).unwrap());
+        assert!(hub.is_consistent());
     }
 
     #[test]
@@ -812,10 +596,12 @@ mod tests {
         .unwrap();
         let e = Engine::new(db.clone());
         let g = Guard::unlimited();
-        let mut s = e.session(&state, &g).unwrap();
-        assert!(!s.is_consistent());
-        assert_eq!(s.inconsistent_blocks(), vec![0]);
-        assert!(s.total_projection(db.universe().set_of("AB"), &g).unwrap().is_none());
+        let hub = e.hub(&state, &g).unwrap();
+        let w = hub.write_handle();
+        assert!(!hub.is_consistent());
+        assert_eq!(hub.inconsistent_blocks(), vec![0]);
+        let x = db.universe().set_of("AB");
+        assert!(hub.read_view().total_projection(x, &g).unwrap().is_none());
         // Inserting into the poisoned block is an error; deleting the
         // offender restores consistency.
         let u = db.universe();
@@ -824,15 +610,15 @@ mod tests {
             (u.attr_of("B"), sym.intern("b")),
         ]);
         assert!(matches!(
-            s.insert(0, t, &g),
+            w.insert(0, t, &g),
             Err(ExecError::Inconsistent { .. })
         ));
         let rival = Tuple::from_pairs([
             (u.attr_of("A"), sym.intern("a")),
             (u.attr_of("B"), sym.intern("b2")),
         ]);
-        assert!(s.delete(0, &rival, &g).unwrap());
-        assert!(s.is_consistent());
+        assert!(w.delete(0, &rival, &g).unwrap());
+        assert!(hub.is_consistent());
     }
 
     #[test]
@@ -857,16 +643,16 @@ mod tests {
         )
         .unwrap();
         let g = Guard::unlimited();
-        let s = e.session(&state, &g).unwrap();
-        assert!(s.is_consistent());
+        let hub = e.hub(&state, &g).unwrap();
+        assert!(hub.is_consistent());
         // [AC] is derivable through the chase even with no AC relation.
-        let proj = s.total_projection(db.universe().set_of("AC"), &g).unwrap().unwrap();
+        let ac = db.universe().set_of("AC");
+        let proj = hub.read_view().total_projection(ac, &g).unwrap().unwrap();
         assert_eq!(proj.len(), 1);
         let kd = KeyDeps::of(&db);
         assert_eq!(
             Some(proj),
-            idr_chase::total_projection(&db, &state, kd.full(), db.universe().set_of("AC"), &g)
-                .unwrap()
+            idr_chase::total_projection(&db, &state, kd.full(), ac, &g).unwrap()
         );
     }
 
@@ -888,7 +674,7 @@ mod tests {
         for parallel in [false, true] {
             let e = Engine::new(db.clone()).with_parallel(parallel);
             let tight = Guard::new(Budget::unlimited().with_max_chase_steps(1));
-            let err = e.session(&w.state, &tight).unwrap_err();
+            let err = e.hub(&w.state, &tight).unwrap_err();
             assert!(
                 matches!(err, ExecError::BudgetExceeded { .. }),
                 "parallel={parallel}: {err:?}"
@@ -905,17 +691,17 @@ mod tests {
         }
     }
 
-    /// star(3) — R0(K A0), R1(K A1), R2(K A2), all keyed on K — with
-    /// three rows sharing the hub value, so any tableau rebuild must fire
-    /// at least one fd rule and a `max_chase_steps = 0` guard trips
-    /// mid-rebuild.
-    fn tripping_session(
-        sym: &mut SymbolTable,
-    ) -> (&'static Engine, Session<'static>) {
+    #[test]
+    fn delete_is_atomic_under_a_guard_trip() {
+        // star(3) — R0(K A0), R1(K A1), R2(K A2), all keyed on K — with
+        // three rows sharing the hub value, so any tableau rebuild must
+        // fire at least one fd rule and a `max_chase_steps = 0` guard
+        // trips mid-rebuild.
         let db = idr_workload::generators::star_scheme(3);
+        let mut sym = SymbolTable::new();
         let state = state_of(
             &db,
-            sym,
+            &mut sym,
             &[
                 ("R0", &[("K", "k"), ("A0", "x0")]),
                 ("R1", &[("K", "k"), ("A1", "x1")]),
@@ -923,69 +709,37 @@ mod tests {
             ],
         )
         .unwrap();
-        let engine = Box::leak(Box::new(Engine::new(db)));
-        let session = engine.session(&state, &Guard::unlimited()).unwrap();
-        (engine, session)
-    }
-
-    #[test]
-    fn delete_is_atomic_under_a_guard_trip() {
-        let mut sym = SymbolTable::new();
-        let (engine, mut s) = tripping_session(&mut sym);
-        let u = engine.scheme().universe();
+        let engine = Engine::new(db.clone());
+        let g = Guard::unlimited();
+        let hub = engine.hub(&state, &g).unwrap();
+        let w = hub.write_handle();
+        let u = db.universe();
         let t = Tuple::from_pairs([
             (u.attr_of("K"), sym.intern("k")),
             (u.attr_of("A2"), sym.intern("x2")),
         ]);
         let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
+        let present = |v: &ReadView<'_>| v.state().relation(2).contains(&t);
 
         let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
-        let err = s.delete(2, &t, &tight).unwrap_err();
+        let err = w.delete(2, &t, &tight).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
 
         // The failed delete must not have happened: the tuple is still in
         // the base state, and both query paths still see it.
-        let g = Guard::unlimited();
-        assert!(s.state().relation(2).contains(&t));
-        let proj = s.total_projection(x, &g).unwrap().unwrap();
+        let v = hub.read_view();
+        assert!(present(&v));
+        let proj = v.total_projection(x, &g).unwrap().unwrap();
         assert!(proj.contains(&t), "expression path lost the tuple");
-        assert!(s.explain(x, &t).is_some(), "chase path lost the tuple");
+        assert!(hub.explain(x, &t).is_some(), "chase path lost the tuple");
 
         // A retry with budget completes the delete on both paths.
-        assert!(s.delete(2, &t, &g).unwrap());
-        assert!(!s.state().relation(2).contains(&t));
-        let proj = s.total_projection(x, &g).unwrap().unwrap();
+        assert!(w.delete(2, &t, &g).unwrap());
+        let v = hub.read_view();
+        assert!(!present(&v));
+        let proj = v.total_projection(x, &g).unwrap().unwrap();
         assert!(!proj.contains(&t));
-        assert!(s.explain(x, &t).is_none());
-    }
-
-    #[test]
-    fn insert_rolls_back_the_speculative_row_on_a_guard_trip() {
-        let mut sym = SymbolTable::new();
-        let (engine, mut s) = tripping_session(&mut sym);
-        let u = engine.scheme().universe();
-        // A second hub value: chasing it against the existing "k" rows
-        // fires no rule directly, but the three new-row unions do.
-        let t = Tuple::from_pairs([
-            (u.attr_of("K"), sym.intern("k")),
-            (u.attr_of("A2"), sym.intern("x2b")),
-        ]);
-        let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
-
-        let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
-        let err = s.insert(2, t.clone(), &tight).unwrap_err();
-        assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
-
-        // The failed insert must not be visible through either path: the
-        // base state lacks the row, and the block tableau must not keep
-        // answering from the speculative push.
-        assert!(!s.state().relation(2).contains(&t));
-        assert!(
-            s.explain(x, &t).is_none(),
-            "speculative row survived in the block tableau"
-        );
-        // Consistency is a verdict about the *base* state again.
-        assert!(s.is_consistent());
+        assert!(hub.explain(x, &t).is_none());
     }
 
     #[test]
@@ -995,15 +749,15 @@ mod tests {
         let mut sym = SymbolTable::new();
         let state = state_of(&db, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
         let g = Guard::unlimited();
-        let s = engine.session(&state, &g).unwrap();
+        let hub = engine.hub(&state, &g).unwrap();
         let x = db.universe().set_of("AB");
-        assert!(s.total_projection(x, &g).unwrap().is_some());
+        assert!(hub.read_view().total_projection(x, &g).unwrap().is_some());
 
         engine.inject_expr_cache_panic();
 
         // The first query after the panic surfaces a typed error instead
         // of cascading the panic...
-        let err = s.total_projection(x, &g).unwrap_err();
+        let err = hub.read_view().total_projection(x, &g).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1013,7 +767,7 @@ mod tests {
             "{err:?}"
         );
         // ...and the cache has recovered: the next query recomputes.
-        let proj = s.total_projection(x, &g).unwrap().unwrap();
+        let proj = hub.read_view().total_projection(x, &g).unwrap().unwrap();
         assert_eq!(proj.len(), 1);
     }
 }

@@ -36,9 +36,9 @@
 //! and serve many clients at once through the split
 //! [`serving::WriteHandle`] / [`serving::ReadView`] API — per-block
 //! serialized writes (Theorem 4.2 block independence makes cross-block
-//! ops commute) and epoch-stamped snapshot reads. The pre-0.7
-//! single-threaded [`engine::Session`] facade remains as a deprecated
-//! compatibility shim over one hub.
+//! ops commute) and epoch-stamped snapshot reads. Every write — one
+//! insert, one delete or a framed group — takes the same path: verdicts
+//! first, then one log call.
 
 
 #![warn(missing_docs)]
@@ -62,8 +62,8 @@ pub mod serving;
 pub mod split;
 
 pub use classify::{classify, Classification};
-pub use durability::{Durability, DurabilitySink, DurableOp};
-pub use engine::{Engine, Observability, Session};
+pub use durability::{DurabilitySink, DurableOp};
+pub use engine::{Engine, Observability};
 pub use replay::{ReplayError, ReplayOutcome};
 pub use serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
 pub use exec::{

@@ -1,28 +1,25 @@
-//! Replaying logged op lines through a [`Session`] or a
-//! [`WriteHandle`] — the shared entry point for crash recovery and
-//! replication.
+//! Replaying logged op lines through a [`WriteHandle`] — the shared
+//! entry point for crash recovery and replication.
 //!
 //! Both the durability layer (WAL replay after a crash) and the
 //! replication layer (applying op ranges shipped from a peer replica)
 //! re-execute the same canonical text records: one line per op in the
 //! fixture syntax (`insert R1: A=a B=b`, `delete R2: C=c D=d`). The
 //! invariant they share is that a replayed op **re-earns its verdict**
-//! through the normal guarded session path — a rejected insert
-//! re-rejects deterministically, a delete of an absent tuple reports
-//! absence — instead of trusting whatever the log's producer concluded.
-//! This module centralises that discipline so the two layers cannot
-//! drift.
+//! through the normal guarded write path — a rejected insert re-rejects
+//! deterministically, a delete of an absent tuple reports absence —
+//! instead of trusting whatever the log's producer concluded. This
+//! module centralises that discipline so the two layers cannot drift.
 
 use idr_relation::exec::{ExecError, Guard};
 use idr_relation::parse::parse_tuple_line;
 use idr_relation::{SymbolTable, Tuple};
 
-use crate::engine::Session;
 use crate::serving::WriteHandle;
 
 /// What a replayed op did, mirroring the `Ok` shapes of
-/// [`Session::insert`] / [`Session::delete`] plus the re-rejection case
-/// recovery tolerates.
+/// [`WriteHandle::insert`] / [`WriteHandle::delete`] plus the
+/// re-rejection case recovery tolerates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayOutcome {
     /// An insert was accepted and applied.
@@ -58,7 +55,7 @@ pub enum ReplayError {
         detail: String,
     },
     /// The engine failed with a typed error that is not a consistency
-    /// verdict (guard trip, fault). The session rolled the op back.
+    /// verdict (guard trip, fault). Nothing was applied or logged.
     Exec(ExecError),
 }
 
@@ -82,8 +79,8 @@ enum ParsedOp {
 }
 
 /// Parses `insert R1: A=a B=b` / `delete R1: A=a B=b` into a typed op,
-/// interning values through `symbols` — the one format both the session
-/// shim and the concurrent write pipeline replay.
+/// interning values through `symbols` — the one format recovery and
+/// replication replay.
 fn parse_op_line(
     line: &str,
     db: &idr_relation::DatabaseScheme,
@@ -126,41 +123,22 @@ fn delete_outcome(r: Result<bool, ExecError>) -> Result<ReplayOutcome, ReplayErr
 }
 
 impl WriteHandle<'_> {
-    /// Replays one logged op line through the concurrent write pipeline,
-    /// re-earning its verdict — the [`Session::replay_op`] contract for
-    /// `WriteHandle` (see that method for the outcome mapping).
+    /// Replays one logged op line (`insert R1: A=a B=b` /
+    /// `delete R1: A=a B=b`) through the write pipeline, re-earning its
+    /// verdict. Tuple values are interned through `symbols`, which must
+    /// be the table the hub's state was built with.
+    ///
+    /// An insert into a block an earlier replayed op already poisoned
+    /// reports [`ReplayOutcome::Rejected`] (the deterministic re-run of
+    /// the original rejection); any other [`ExecError`] is surfaced as
+    /// [`ReplayError::Exec`] with nothing applied.
     pub fn replay_op(
         &self,
         line: &str,
         symbols: &mut SymbolTable,
         guard: &Guard,
     ) -> Result<ReplayOutcome, ReplayError> {
-        let db = self.engine().scheme().clone();
-        match parse_op_line(line, &db, symbols)? {
-            ParsedOp::Insert(rel, t) => insert_outcome(self.insert(rel, t, guard)),
-            ParsedOp::Delete(rel, t) => delete_outcome(self.delete(rel, &t, guard)),
-        }
-    }
-}
-
-impl Session<'_> {
-    /// Replays one logged op line (`insert R1: A=a B=b` /
-    /// `delete R1: A=a B=b`) through this session, re-earning its
-    /// verdict. Tuple values are interned through `symbols`, which must
-    /// be the table the session's state was built with.
-    ///
-    /// An insert into a block an earlier replayed op already poisoned
-    /// reports [`ReplayOutcome::Rejected`] (the deterministic re-run of
-    /// the original rejection); any other [`ExecError`] is surfaced as
-    /// [`ReplayError::Exec`] with the session rolled back.
-    pub fn replay_op(
-        &mut self,
-        line: &str,
-        symbols: &mut SymbolTable,
-        guard: &Guard,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        let db = self.engine().scheme().clone();
-        match parse_op_line(line, &db, symbols)? {
+        match parse_op_line(line, self.engine().scheme(), symbols)? {
             ParsedOp::Insert(rel, t) => insert_outcome(self.insert(rel, t, guard)),
             ParsedOp::Delete(rel, t) => delete_outcome(self.delete(rel, &t, guard)),
         }
@@ -169,19 +147,14 @@ impl Session<'_> {
 
 #[cfg(test)]
 mod tests {
-    // Half of these pin the legacy Session shim's replay path.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::engine::Engine;
     use idr_relation::parse::parse_scheme;
     use idr_relation::DatabaseState;
 
     fn engine() -> Engine {
-        let db = parse_scheme(
-            "universe: A B C\nscheme R1: A B keys A\nscheme R2: B C keys B\n",
-        )
-        .unwrap();
+        let db = parse_scheme("universe: A B C\nscheme R1: A B keys A\nscheme R2: B C keys B\n")
+            .unwrap();
         Engine::new(db)
     }
 
@@ -190,51 +163,24 @@ mod tests {
         let engine = engine();
         let guard = Guard::unlimited();
         let mut symbols = SymbolTable::new();
-        let db = engine.scheme().clone();
-        let mut s = engine
-            .session(&DatabaseState::empty(&db), &guard)
+        let hub = engine
+            .hub(&DatabaseState::empty(engine.scheme()), &guard)
             .unwrap();
-        assert_eq!(
-            s.replay_op("insert R1: A=a B=b", &mut symbols, &guard).unwrap(),
-            ReplayOutcome::Accepted
-        );
-        // A key-violating second tuple re-rejects.
-        assert_eq!(
-            s.replay_op("insert R1: A=a B=z", &mut symbols, &guard).unwrap(),
-            ReplayOutcome::Rejected
-        );
-        assert_eq!(
-            s.replay_op("delete R1: A=a B=b", &mut symbols, &guard).unwrap(),
-            ReplayOutcome::Removed
-        );
-        assert_eq!(
-            s.replay_op("delete R1: A=a B=b", &mut symbols, &guard).unwrap(),
-            ReplayOutcome::Absent
-        );
-        assert_eq!(s.state().total_tuples(), 0);
-    }
-
-    #[test]
-    fn write_handle_replay_matches_the_session_shim() {
-        let engine = engine();
-        let guard = Guard::unlimited();
-        let mut symbols = SymbolTable::new();
-        let db = engine.scheme().clone();
-        let hub = engine.hub(&DatabaseState::empty(&db), &guard).unwrap();
         let w = hub.write_handle();
         for (line, want) in [
             ("insert R1: A=a B=b", ReplayOutcome::Accepted),
+            // A key-violating second tuple re-rejects.
             ("insert R1: A=a B=z", ReplayOutcome::Rejected),
             ("delete R1: A=a B=b", ReplayOutcome::Removed),
             ("delete R1: A=a B=b", ReplayOutcome::Absent),
         ] {
-            assert_eq!(w.replay_op(line, &mut symbols, &guard).unwrap(), want, "{line}");
+            assert_eq!(
+                w.replay_op(line, &mut symbols, &guard).unwrap(),
+                want,
+                "{line}"
+            );
         }
         assert_eq!(hub.read_view().state().total_tuples(), 0);
-        let err = w
-            .replay_op("upsert R1: A=a B=b", &mut symbols, &guard)
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::Malformed { .. }), "{err}");
     }
 
     #[test]
@@ -242,13 +188,21 @@ mod tests {
         let engine = engine();
         let guard = Guard::unlimited();
         let mut symbols = SymbolTable::new();
-        let db = engine.scheme().clone();
-        let mut s = engine
-            .session(&DatabaseState::empty(&db), &guard)
+        let hub = engine
+            .hub(&DatabaseState::empty(engine.scheme()), &guard)
             .unwrap();
-        for bad in ["frobnicate", "upsert R1: A=a B=b", "insert R9: A=a"] {
-            let err = s.replay_op(bad, &mut symbols, &guard).unwrap_err();
+        let w = hub.write_handle();
+        // `abort` is the record the old log-then-abort path wrote after a
+        // rolled-back op; nothing writes it any more, so it is malformed.
+        for bad in [
+            "frobnicate",
+            "abort",
+            "upsert R1: A=a B=b",
+            "insert R9: A=a",
+        ] {
+            let err = w.replay_op(bad, &mut symbols, &guard).unwrap_err();
             assert!(matches!(err, ReplayError::Malformed { .. }), "{bad}: {err}");
         }
+        assert_eq!(hub.read_view().state().total_tuples(), 0);
     }
 }

@@ -8,9 +8,11 @@
 //! serving discipline:
 //!
 //! * **writes** go through [`WriteHandle`]: each block has its own write
-//!   lock, a writer holds it across *log → chase → apply*, so the WAL
+//!   lock, a writer holds it across *chase → apply → log*, so the WAL
 //!   order of any one block equals its apply order while writers on
-//!   different blocks proceed in parallel;
+//!   different blocks proceed in parallel. Every write — a single insert
+//!   or delete, or a framed group — is one unit through one path: its
+//!   verdicts are earned first, then it is logged in one sink call;
 //! * **reads** go through [`ReadView`]: an epoch-stamped immutable
 //!   snapshot, published lazily from a consistent cut of every block.
 //!   Readers never block writers and never see a half-applied op;
@@ -22,10 +24,6 @@
 //! cross-block ops commute, **a serial replay of the log reproduces the
 //! concurrent final state** — the invariant the concurrency stress suite
 //! and the `idr fuzz --concurrent` oracle arm check end to end.
-//!
-//! The pre-0.7 [`Session`](crate::Session) facade survives as a thin
-//! compatibility shim over this module (one hub, one mirror state, no
-//! shared sink); see DESIGN.md §14 for the migration guide.
 //!
 //! # Example
 //!
@@ -109,17 +107,28 @@ struct Slot {
     state: DatabaseState,
 }
 
-/// How phase 3 of [`Hub::batch_op`] commits one slot's share of a
-/// batch, decided per slot by [`Hub::batch_slot_verdicts`].
+/// One slot's part in a write unit: what its rollback point must revert,
+/// and the provenance of its last rejected insert.
 #[derive(Debug)]
-enum SlotPlan {
-    /// The pure-insert fast path already chased the slot's live tableau
-    /// in place; only the substate still has to catch up.
-    InPlace,
-    /// The group was speculated on clones; swap them in wholesale.
-    /// Boxed: the pair is two orders of magnitude larger than the
-    /// `InPlace` tag, and phase 3 moves it exactly once.
-    Swap(Box<(IncrementalChase, DatabaseState)>),
+struct Share {
+    si: usize,
+    /// Unit positions of the ops whose substate edit changed the state,
+    /// in apply order.
+    edits: Vec<usize>,
+    /// The tableau was mutated and must be rebuilt on rollback.
+    tableau: bool,
+    why: Option<RejectionExplanation>,
+}
+
+impl Share {
+    fn new(si: usize) -> Share {
+        Share {
+            si,
+            edits: Vec::new(),
+            tableau: false,
+            why: None,
+        }
+    }
 }
 
 /// State shared by every handle of one hub.
@@ -129,7 +138,8 @@ struct HubShared {
     /// `true` when the scheme is not IR (single whole-state slot).
     whole: bool,
     /// The most recently published snapshot. Lock order: `publish`
-    /// before any slot; writers take a single slot and never `publish`.
+    /// before any slot, slots in index order; writers never take
+    /// `publish`.
     publish: Mutex<Arc<Snapshot>>,
     epoch: AtomicU64,
     /// Set by writers after mutating a slot; cleared (before the slot
@@ -314,8 +324,8 @@ impl BatchOp {
 impl<'e> Hub<'e> {
     /// Builds the hub: chases every block (in parallel when the engine
     /// enables it), carves the state into per-block slots, and publishes
-    /// epoch 0. Emits the same `session_built` event and metrics as the
-    /// legacy session build — the shim delegates here.
+    /// epoch 0. Emits the `session_built` event and `session.build*`
+    /// metrics.
     pub(crate) fn build(
         engine: &'e Engine,
         state: &DatabaseState,
@@ -455,7 +465,10 @@ impl<'e> Hub<'e> {
     }
 
     /// Provenance for a derived tuple: searches the live block tableaux
-    /// in block order. See `Session::explain` for the contract.
+    /// (in block order) for a row witnessing `t` total on `x` and returns
+    /// its per-column fd-firing chains. Chains are empty unless the
+    /// engine was built with [`Observability::provenance`](crate::Observability::provenance)
+    /// set. `None` when no row witnesses `t`.
     pub fn explain(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
         self.shared
             .slots
@@ -484,31 +497,6 @@ impl<'e> Hub<'e> {
         total
     }
 
-    /// The shim's live query path: the legacy `Session::total_projection`
-    /// semantics over a caller-supplied base state (the shim's mirror).
-    pub(crate) fn query_live(
-        &self,
-        state: &DatabaseState,
-        x: AttrSet,
-        guard: &Guard,
-    ) -> Result<Option<Vec<Tuple>>, ExecError> {
-        let t0 = Instant::now();
-        if !self.is_consistent() {
-            return Ok(None);
-        }
-        let (result, method) = if self.shared.whole {
-            // The live whole-state tableau answers directly.
-            (
-                Ok(Some(lock_slot(&self.shared.slots[0]).chase.total_projection(x))),
-                "chase",
-            )
-        } else {
-            project_ir(self.engine, state, x, guard)?
-        };
-        emit_query(self.engine, x, method, &result, t0, guard);
-        result
-    }
-
     /// Routes relation `i` to its slot index.
     fn slot_of(&self, i: usize) -> usize {
         assert!(i < self.engine.scheme().len(), "relation index out of range");
@@ -520,196 +508,20 @@ impl<'e> Hub<'e> {
         }
     }
 
-    /// `Some(err)` when relation `i`'s block is currently poisoned — the
-    /// legacy shim checks this *before* logging the intent record.
-    pub(crate) fn block_failure(&self, i: usize) -> Option<ExecError> {
-        lock_slot(&self.shared.slots[self.slot_of(i)])
-            .chase
-            .failure()
-            .map(|f| f.clone().into())
-    }
-
-    /// The slot half of the insert pipeline. Holds the target block's
-    /// lock across *log → chase → apply*, so per-block WAL order equals
-    /// apply order. Returns the verdict plus (on rejection) its
-    /// provenance; emits no events — callers ([`WriteHandle::insert`],
-    /// the `Session` shim) finish the op in their own order.
-    pub(crate) fn insert_op(
-        &self,
-        i: usize,
-        t: Tuple,
-        guard: &Guard,
-    ) -> Result<(bool, Option<RejectionExplanation>), ExecError> {
-        let si = self.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        if let Some(f) = slot.chase.failure() {
-            return Err(f.clone().into());
-        }
-        // Write-ahead: commit the intent record before memory changes,
-        // still under the block lock.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Insert { rel: i, t: &t })?;
-        }
-        // Durable sinks stamp wal-append where the record is queued;
-        // this fallback covers in-memory sinks (first write wins).
-        timeline::stamp_current(Phase::WalAppend);
-        // A capacity trip from the push takes the same rollback branch
-        // as a guard trip mid-chase: rebuild + abort marker.
-        let pushed = slot.chase.push_tuple(&t, Some(i)).map(|_| ());
-        let outcome = match pushed.and_then(|()| slot.chase.run(guard).map(|_| ())) {
-            Ok(_) => {
-                slot.state
-                    .insert(i, t)
-                    .expect("tuple was chased against scheme i, so it matches scheme i");
-                timeline::stamp_current(Phase::Apply);
-                self.shared.stale.store(true, Ordering::Release);
-                Ok((true, None))
-            }
-            Err(ExecError::Inconsistent { .. }) => {
-                // Capture provenance before the rebuild wipes the chase
-                // that found the violation.
-                let why = slot.chase.explain_rejection();
-                slot.chase = self
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // A rejection still did its apply work: the chase ran
-                // and the block's tableau was restored.
-                timeline::stamp_current(Phase::Apply);
-                Ok((false, why))
-            }
-            Err(e) => {
-                // Guard trip mid-chase: roll the speculative row back by
-                // rebuilding from the unchanged base substate (a chase
-                // already known to succeed — not charged).
-                slot.chase = self
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // Memory is rolled back; mark the logged record aborted
-                // so the log agrees with memory again.
-                if let Some(d) = &self.shared.sink {
-                    d.log_abort()?;
-                }
-                Err(e)
-            }
-        };
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if matches!(outcome, Ok((true, _))) {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        if let Ok((_, Some(why))) = &outcome {
-            *self
-                .shared
-                .last_rejection
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(why.clone());
-        }
-        outcome
-    }
-
-    /// The `insert_applied` event + metrics an insert ends with,
-    /// identical for the concurrent pipeline and the `Session` shim.
-    pub(crate) fn emit_insert_event(&self, i: usize, accepted: bool, t0: Instant, guard: &Guard) {
-        let obs = self.engine.observability();
-        obs.tracer.emit_with(|| TraceEvent::InsertApplied {
-            relation: Arc::from(self.engine.scheme().scheme(i).name()),
-            accepted,
-        });
-        if let Some(hm) = &self.shared.metrics {
-            if accepted {
-                hm.inserts_accepted.inc();
-            } else {
-                hm.inserts_rejected.inc();
-            }
-            hm.insert_us.observe_duration(t0.elapsed());
-            hm.record_guard(guard);
-        }
-    }
-
-    /// The `delete_applied` event + metrics a delete ends with.
-    pub(crate) fn emit_delete_event(&self, i: usize, removed: bool, guard: &Guard) {
-        let obs = self.engine.observability();
-        obs.tracer.emit_with(|| TraceEvent::DeleteApplied {
-            relation: Arc::from(self.engine.scheme().scheme(i).name()),
-            removed,
-        });
-        if let Some(hm) = &self.shared.metrics {
-            hm.deletes.inc();
-            hm.record_guard(guard);
-        }
-    }
-
-    /// The slot half of the delete pipeline: log, remove, rebuild the
-    /// block's tableau from its substate (charged against `guard`); on a
-    /// guard trip the tuple is restored and the logged record aborted.
-    /// Emits no events — see [`Hub::insert_op`].
-    pub(crate) fn delete_op(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
-        let si = self.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        // Write-ahead: commit the intent record before memory changes.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Delete { rel: i, t })?;
-        }
-        timeline::stamp_current(Phase::WalAppend);
-        let removed = slot
-            .state
-            .remove(i, t)
-            .expect("relation index was validated by slot_of");
-        if removed {
-            match self.rebuilt_chase(si, &slot.state, guard) {
-                Ok(chase) => slot.chase = chase,
-                Err(e) => {
-                    // The rebuild never replaced the tableau, so the old
-                    // chase is still answering; put the tuple back so the
-                    // base substate agrees with it — delete is
-                    // all-or-nothing.
-                    slot.state
-                        .insert(i, t.clone())
-                        .expect("tuple was just removed from relation i");
-                    if let Some(d) = &self.shared.sink {
-                        d.log_abort()?;
-                    }
-                    return Err(e);
-                }
-            }
-            self.shared.stale.store(true, Ordering::Release);
-        }
-        timeline::stamp_current(Phase::Apply);
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if removed {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        Ok(removed)
-    }
-
-    /// The slot half of the batch pipeline: applies a framed op group as
-    /// one unit across every block it touches. See
-    /// [`WriteHandle::apply_batch`] for the contract; returns the per-op
+    /// The one write path: applies `ops` as one unit across every block
+    /// they touch. A per-op insert or delete is a unit of one; see
+    /// [`WriteHandle::apply_batch`] for the contract. Returns the per-op
     /// verdicts (in op order) and the number of blocks touched.
     ///
-    /// Unlike the single-op paths, the batch logs **after** chase
-    /// verdicts are known and **before** any substate mutation. A
-    /// pure-insert group earns its verdicts by chasing the slot's live
-    /// tableau in place — the tableau is *derived* state, so mutating it
-    /// before the log call is safe as long as a failure rebuilds it from
-    /// the (untouched) substate, which is exactly the batch's **single
-    /// rollback point**. Groups containing deletes, and pure-insert
-    /// groups whose combined run turns inconsistent, instead speculate
-    /// on clones of the slot's tableau and substate and swap them in
-    /// after the log call. Either way a typed error before the log call
-    /// leaves both the log and every substate untouched, so log ==
-    /// memory holds without any abort markers (DESIGN.md §16).
+    /// Every involved block lock is held across *chase → apply → log*.
+    /// Each op earns its verdict by mutating its slot's tableau and
+    /// substate **in place**, recording every substate edit that
+    /// actually changed the state; then the whole unit is logged in one
+    /// [`DurabilitySink::log_ops`] call. A typed error before that call
+    /// returns is the unit's **single rollback point**: the recorded
+    /// edits are undone in reverse and each mutated tableau is rebuilt
+    /// once, so nothing was logged and nothing was applied — log ==
+    /// memory without abort records (DESIGN.md §16).
     pub(crate) fn batch_op(
         &self,
         ops: &[BatchOp],
@@ -722,46 +534,32 @@ impl<'e> Hub<'e> {
         for (k, op) in ops.iter().enumerate() {
             by_slot.entry(self.slot_of(op.rel())).or_default().push(k);
         }
-        // Every involved block lock, acquired in index order — per-op
-        // writers hold at most one slot at a time, so ordered
-        // acquisition cannot deadlock against them, and holding all of
-        // them across log → apply keeps per-block WAL order equal to
-        // apply order exactly as in the single-op paths.
+        // Every involved block lock, acquired in index order — so units
+        // touching overlapping blocks cannot deadlock, and holding all of
+        // them across chase → log keeps per-block WAL order equal to
+        // apply order.
         let mut guards: Vec<MutexGuard<'_, Slot>> = by_slot
             .keys()
             .map(|&si| lock_slot(&self.shared.slots[si]))
             .collect();
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
-        for slot in &guards {
-            if let Some(f) = slot.chase.failure() {
-                return Err(f.clone().into());
-            }
-        }
-        // Phase 1 — earn every verdict. No substate is mutated; in-place
-        // slots mutate their (derived) tableau and are rebuilt below if
-        // any later slot or the log call fails.
+        // Phase 1 — earn every verdict, editing slots in place.
         let mut verdicts = vec![false; ops.len()];
-        let mut plans: Vec<SlotPlan> = Vec::with_capacity(guards.len());
-        let mut last_why: Option<RejectionExplanation> = None;
+        let mut shares: Vec<Share> = Vec::with_capacity(guards.len());
         let mut failure: Option<ExecError> = None;
         for (slot, (&si, idxs)) in guards.iter_mut().zip(&by_slot) {
-            match self.batch_slot_verdicts(si, slot, ops, idxs, &mut verdicts, guard) {
-                Ok((plan, why)) => {
-                    if why.is_some() {
-                        last_why = why;
-                    }
-                    plans.push(plan);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+            shares.push(Share::new(si));
+            let share = shares.last_mut().expect("just pushed");
+            if let Err(e) = self.apply_share(slot, share, ops, idxs, &mut verdicts, guard) {
+                failure = Some(e);
+                break;
             }
         }
-        // Phase 2 — write-ahead for the whole group: one sink batch, one
-        // group-commit barrier, one fsync.
         if failure.is_none() {
+            timeline::stamp_current(Phase::Apply);
+            // Phase 2 — write-ahead for the whole unit: one sink call,
+            // one group-commit barrier, one fsync.
             if let Some(d) = &self.shared.sink {
                 let records: Vec<DurableOp<'_>> = ops.iter().map(BatchOp::as_durable).collect();
                 if let Err(e) = d.log_ops(&records) {
@@ -770,42 +568,15 @@ impl<'e> Hub<'e> {
             }
         }
         if let Some(e) = failure {
-            // Single rollback point: clone-based plans just drop;
-            // in-place slots rebuild their tableau from the untouched
-            // substate. Nothing was logged, so log == memory holds.
-            for (slot, (plan, (&si, _))) in guards.iter_mut().zip(plans.iter().zip(&by_slot)) {
-                if matches!(plan, SlotPlan::InPlace) {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
-                }
+            for (slot, share) in guards.iter_mut().zip(&shares) {
+                self.undo_share(slot, share, ops);
             }
             return Err(e);
         }
-        // Phase 3 — apply: in-place slots catch their substate up to the
-        // already-chased tableau; clone-based slots swap the speculated
-        // tableau and substate in.
+        // In-memory sinks log nothing; stamp wal-append here (first
+        // write wins, so a durable sink's own stamp stands).
+        timeline::stamp_current(Phase::WalAppend);
         let applied = verdicts.iter().filter(|&&v| v).count() as u64;
-        for (slot, (plan, (_, idxs))) in guards.iter_mut().zip(plans.into_iter().zip(&by_slot)) {
-            match plan {
-                SlotPlan::InPlace => {
-                    for &k in idxs {
-                        let BatchOp::Insert { rel, t } = &ops[k] else {
-                            unreachable!("in-place plans are pure-insert")
-                        };
-                        slot.state
-                            .insert(*rel, t.clone())
-                            .expect("tuple was chased against scheme rel, so it matches");
-                    }
-                }
-                SlotPlan::Swap(pair) => {
-                    let (chase, state) = *pair;
-                    slot.chase = chase;
-                    slot.state = state;
-                }
-            }
-        }
-        timeline::stamp_current(Phase::Apply);
         if applied > 0 {
             self.shared.stale.store(true, Ordering::Release);
         }
@@ -818,121 +589,164 @@ impl<'e> Hub<'e> {
             hm.epoch_lag.add(applied);
         }
         drop(guards);
-        if last_why.is_some() {
+        if let Some(why) = shares.into_iter().filter_map(|s| s.why).next_back() {
             *self
                 .shared
                 .last_rejection
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = last_why;
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(why);
         }
         Ok((verdicts, by_slot.len()))
     }
 
-    /// Earns one slot's share of a batch's verdicts, filling `verdicts`
-    /// at the ops' original batch positions, and returns how phase 3
-    /// should commit the slot plus the provenance of the last rejected
-    /// insert (if any).
+    /// Earns one slot's share of a unit's verdicts in place, filling
+    /// `verdicts` at the ops' unit positions and recording in `share`
+    /// what the rollback point must revert.
     ///
-    /// Pure-insert groups take the fast path — the rows seed and sweep
-    /// the slot's live tableau **in place** (no million-row tableau or
-    /// substate clone per group; Church–Rosser makes the combined
-    /// tableau identical to serial application, and on a consistent
-    /// outcome monotonicity makes every serial prefix verdict
-    /// *accepted*), leaving the substate to catch up after the log
-    /// call. A combined-run inconsistency (which cannot attribute a
-    /// culprit op) rolls the tableau back — one rebuild from the
-    /// untouched substate — and falls back to clone-based per-op replay
-    /// so each op re-earns exactly its serial verdict; any other error
-    /// rolls back the same way and aborts the group. Groups containing
-    /// deletes replay serially on clones too, deferring the
-    /// delete-triggered rebuild until the next insert (or the end), so
-    /// a run of deletes costs one rebuild instead of one per op.
-    fn batch_slot_verdicts(
+    /// Deletes edit the substate and defer the tableau rebuild (the
+    /// union-find cannot unmerge) to the next insert or the end of the
+    /// share, so a run of deletes costs one rebuild. Each maximal run of
+    /// inserts is chased into the live tableau as one combined run (see
+    /// [`chase_inserts`](Hub::chase_inserts)); only when a run of several
+    /// turns inconsistent — the combined run cannot name its culprit —
+    /// are its inserts re-chased one at a time, in place, to earn their
+    /// serial verdicts. An insert that meets a poisoned tableau (checked
+    /// after any pending delete rebuild) fails the unit, exactly as the
+    /// same insert would fail on its own; a delete into a poisoned block
+    /// proceeds, since it may restore consistency.
+    fn apply_share(
         &self,
-        si: usize,
         slot: &mut Slot,
+        share: &mut Share,
         ops: &[BatchOp],
         idxs: &[usize],
         verdicts: &mut [bool],
         guard: &Guard,
-    ) -> Result<(SlotPlan, Option<RejectionExplanation>), ExecError> {
-        let all_inserts = idxs
-            .iter()
-            .all(|&k| matches!(ops[k], BatchOp::Insert { .. }));
-        if all_inserts {
-            let group = idxs.iter().map(|&k| match &ops[k] {
-                BatchOp::Insert { rel, t } => (t, Some(*rel)),
-                BatchOp::Delete { .. } => unreachable!("all_inserts was checked"),
-            });
-            match slot.chase.insert_batch(group, guard) {
-                Ok(_) => {
-                    for &k in idxs {
-                        verdicts[k] = true;
-                    }
-                    return Ok((SlotPlan::InPlace, None));
-                }
-                // The group is inconsistent *as a whole* (the tableau is
-                // now poisoned): roll it back, then fall through to
-                // per-op replay so every op re-earns its serial verdict.
-                Err(ExecError::Inconsistent { .. }) => {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
-                }
-                // Guard or capacity trip mid-sweep: the tableau holds
-                // speculative rows, so restore it before aborting.
-                Err(e) => {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
-                    return Err(e);
-                }
-            }
-        }
-        let mut state = slot.state.clone();
-        let mut chase = slot.chase.clone();
-        // `true` while `chase` trails `state` by one or more deletes.
+    ) -> Result<(), ExecError> {
+        // `true` while the tableau trails the substate by a delete.
         let mut stale = false;
-        let mut why = None;
-        for &k in idxs {
-            match &ops[k] {
-                BatchOp::Insert { rel, t } => {
-                    if stale {
-                        // The deferred delete rebuild — charged against
-                        // the batch guard like the per-op delete path.
-                        chase = self.rebuilt_chase(si, &state, guard)?;
-                        stale = false;
-                    }
-                    let pushed = chase.push_tuple(t, Some(*rel)).map(|_| ());
-                    match pushed.and_then(|()| chase.run(guard).map(|_| ())) {
-                        Ok(()) => {
-                            state
-                                .insert(*rel, t.clone())
-                                .expect("tuple was chased against scheme rel, so it matches");
-                            verdicts[k] = true;
-                        }
-                        Err(ExecError::Inconsistent { .. }) => {
-                            why = chase.explain_rejection().or(why);
-                            chase = self
-                                .rebuilt_chase(si, &state, &Guard::unlimited())
-                                .expect("rebuilding a consistent prefix state cannot fail");
-                        }
-                        Err(e) => return Err(e),
-                    }
+        let mut pos = 0;
+        while pos < idxs.len() {
+            if let BatchOp::Delete { rel, t } = &ops[idxs[pos]] {
+                if slot
+                    .state
+                    .remove(*rel, t)
+                    .expect("relation index was validated by slot_of")
+                {
+                    verdicts[idxs[pos]] = true;
+                    share.edits.push(idxs[pos]);
+                    stale = true;
                 }
-                BatchOp::Delete { rel, t } => {
-                    let removed = state
-                        .remove(*rel, t)
-                        .expect("relation index was validated by slot_of");
-                    verdicts[k] = removed;
-                    stale |= removed;
+                pos += 1;
+                continue;
+            }
+            let run_len = idxs[pos..]
+                .iter()
+                .position(|&k| matches!(ops[k], BatchOp::Delete { .. }))
+                .unwrap_or(idxs.len() - pos);
+            let run = &idxs[pos..pos + run_len];
+            pos += run_len;
+            if stale {
+                // The deferred delete rebuild, charged against the
+                // unit's guard like every delete rebuild.
+                slot.chase = self.rebuilt_chase(share.si, &slot.state, guard)?;
+                share.tableau = true;
+                stale = false;
+            }
+            if let Some(f) = slot.chase.failure() {
+                return Err(f.clone().into());
+            }
+            if !self.chase_inserts(slot, share, ops, run, verdicts, guard)? && run.len() > 1 {
+                for k in run {
+                    let one = std::slice::from_ref(k);
+                    self.chase_inserts(slot, share, ops, one, verdicts, guard)?;
                 }
             }
         }
         if stale {
-            chase = self.rebuilt_chase(si, &state, guard)?;
+            slot.chase = self.rebuilt_chase(share.si, &slot.state, guard)?;
+            share.tableau = true;
         }
-        Ok((SlotPlan::Swap(Box::new((chase, state))), why))
+        Ok(())
+    }
+
+    /// Chases the inserts at unit positions `run` into the slot's live
+    /// tableau as one combined run and reports whether it stayed
+    /// consistent. Church–Rosser makes a consistent combined run
+    /// identical to serial application, and monotonicity makes every
+    /// serial verdict *accepted*: each tuple joins the substate, every
+    /// edit that changed it recorded in `share`. An inconsistent run
+    /// accepts nothing, records its provenance in `share` and rebuilds
+    /// the tableau from the (unchanged) substate — a chase already known
+    /// to succeed, so not charged. Any other error leaves the tableau
+    /// speculative for the rollback point to rebuild.
+    fn chase_inserts(
+        &self,
+        slot: &mut Slot,
+        share: &mut Share,
+        ops: &[BatchOp],
+        run: &[usize],
+        verdicts: &mut [bool],
+        guard: &Guard,
+    ) -> Result<bool, ExecError> {
+        share.tableau = true;
+        let rows = run.iter().map(|&k| match &ops[k] {
+            BatchOp::Insert { rel, t } => (t, Some(*rel)),
+            BatchOp::Delete { .. } => unreachable!("runs hold inserts only"),
+        });
+        match slot.chase.insert_batch(rows, guard) {
+            Ok(_) => {
+                for &k in run {
+                    let BatchOp::Insert { rel, t } = &ops[k] else {
+                        unreachable!("runs hold inserts only")
+                    };
+                    if slot
+                        .state
+                        .insert(*rel, t.clone())
+                        .expect("tuple was chased against scheme rel, so it matches")
+                    {
+                        share.edits.push(k);
+                    }
+                    verdicts[k] = true;
+                }
+                Ok(true)
+            }
+            Err(ExecError::Inconsistent { .. }) => {
+                // Capture provenance before the rebuild wipes the chase
+                // that found the violation.
+                share.why = slot.chase.explain_rejection().or(share.why.take());
+                slot.chase = self
+                    .rebuilt_chase(share.si, &slot.state, &Guard::unlimited())
+                    .expect("rebuilding a consistent substate cannot fail");
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The rollback point for one slot: reverts the recorded substate
+    /// edits in reverse order, then rebuilds the tableau once if the
+    /// share mutated it.
+    fn undo_share(&self, slot: &mut Slot, share: &Share, ops: &[BatchOp]) {
+        for &k in share.edits.iter().rev() {
+            match &ops[k] {
+                BatchOp::Insert { rel, t } => {
+                    slot.state
+                        .remove(*rel, t)
+                        .expect("undoing an insert this unit applied");
+                }
+                BatchOp::Delete { rel, t } => {
+                    slot.state
+                        .insert(*rel, t.clone())
+                        .expect("undoing a delete this unit applied");
+                }
+            }
+        }
+        if share.tableau {
+            slot.chase = self
+                .rebuilt_chase(share.si, &slot.state, &Guard::unlimited())
+                .expect("rebuilding the pre-unit substate cannot fail");
+        }
     }
 
     /// A fresh chase of slot `si` from substate `state` (the rollback /
@@ -952,19 +766,19 @@ impl<'e> Hub<'e> {
         }
     }
 
-    /// After a completed op: asks the sink whether a snapshot is due and,
-    /// if so, quiesces every block and hands over a consistent cut.
-    /// Called with no slot lock held.
-    fn sink_op_finished(&self) -> Result<(), ExecError> {
+    /// After a logged unit of `ops` ops: asks the sink whether a
+    /// snapshot is due and, if so, quiesces every block and hands over a
+    /// consistent cut. Called with no slot lock held.
+    fn sink_op_finished(&self, ops: usize) -> Result<(), ExecError> {
         let Some(sink) = &self.shared.sink else {
             return Ok(());
         };
-        if !sink.op_finished()? {
+        if !sink.op_finished(ops)? {
             return Ok(());
         }
         // Quiesce: publish-lock first (lock order), then every block in
         // index order. Holding all block locks means no writer is inside
-        // log_op, so the assembled state covers exactly the logged
+        // a unit, so the assembled state covers exactly the logged
         // prefix — the rotation the sink performs is safe.
         let _publish = self
             .shared
@@ -999,21 +813,39 @@ impl<'e> WriteHandle<'e> {
         }
     }
 
+    /// Runs `ops` as one unit through [`Hub::batch_op`] with `tl`
+    /// installed as the thread's current op, so every pipeline layer
+    /// (block lock, WAL, group commit) stamps its phase; then offers the
+    /// sink its snapshot point and stamps [`Phase::Publish`].
+    fn commit(
+        &self,
+        ops: &[BatchOp],
+        guard: &Guard,
+        tl: &Arc<OpTimeline>,
+    ) -> Result<(Vec<bool>, usize), ExecError> {
+        let _cur = timeline::set_current(tl);
+        let hub = self.hub();
+        let out = hub.batch_op(ops, guard)?;
+        hub.sink_op_finished(ops.len())?;
+        // Publish = the visibility handoff: the unit's effect is marked
+        // for the next epoch cut and any due snapshot has been taken.
+        tl.stamp(Phase::Publish);
+        Ok(out)
+    }
+
     /// Inserts `t` into relation `i` through the block's serialized
-    /// write lane. Same verdict contract as `Session::insert`:
-    /// `Ok(true)` accepted, `Ok(false)` rejected (state unchanged),
-    /// `Err(Inconsistent)` when the block is already poisoned, other
-    /// `Err`s are guard trips with the op rolled back.
+    /// write lane — a write unit of one. `Ok(true)` accepted,
+    /// `Ok(false)` rejected (state unchanged), `Err(Inconsistent)` when
+    /// the block is already poisoned; other `Err`s are guard trips or
+    /// storage failures, with nothing applied and nothing logged.
     pub fn insert(&self, i: usize, t: Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.insert_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
 
     /// [`insert`](WriteHandle::insert) with a caller-owned
     /// [`OpTimeline`]: the caller stamps [`Phase::Enqueue`] when it
-    /// queues the op; this method installs the timeline as the thread's
-    /// current op so every pipeline layer (block lock, WAL, group
-    /// commit) stamps its phase, then folds the completed timeline into
-    /// the per-phase histograms.
+    /// queues the op; every pipeline layer stamps its phase, and the
+    /// completed timeline is folded into the per-phase histograms.
     pub fn insert_timed(
         &self,
         i: usize,
@@ -1021,24 +853,32 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<bool, ExecError> {
-        let _cur = timeline::set_current(tl);
         let t0 = Instant::now();
-        let hub = self.hub();
-        let (accepted, _) = hub.insert_op(i, t, guard)?;
-        hub.sink_op_finished()?;
-        // Publish = the visibility handoff: the op's effect is marked
-        // for the next epoch cut and any due snapshot has been taken.
-        tl.stamp(Phase::Publish);
-        hub.emit_insert_event(i, accepted, t0, guard);
+        let (verdicts, _) = self.commit(&[BatchOp::Insert { rel: i, t }], guard, tl)?;
+        let accepted = verdicts[0];
+        self.engine
+            .observability()
+            .tracer
+            .emit_with(|| TraceEvent::InsertApplied {
+                relation: Arc::from(self.engine.scheme().scheme(i).name()),
+                accepted,
+            });
         if let Some(hm) = &self.shared.metrics {
+            if accepted {
+                hm.inserts_accepted.inc();
+            } else {
+                hm.inserts_rejected.inc();
+            }
+            hm.insert_us.observe_duration(t0.elapsed());
+            hm.record_guard(guard);
             hm.record_timeline(tl);
         }
         Ok(accepted)
     }
 
-    /// Removes `t` from relation `i`. Same contract as
-    /// `Session::delete`: `Ok(false)` when absent, `Err` on a guard trip
-    /// with the delete rolled back.
+    /// Removes `t` from relation `i` — a write unit of one. `Ok(false)`
+    /// when absent; on `Err` (a guard trip mid-rebuild, a storage
+    /// failure) the delete did not happen and nothing was logged.
     pub fn delete(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.delete_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1052,13 +892,22 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<bool, ExecError> {
-        let _cur = timeline::set_current(tl);
-        let hub = self.hub();
-        let removed = hub.delete_op(i, t, guard)?;
-        hub.sink_op_finished()?;
-        tl.stamp(Phase::Publish);
-        hub.emit_delete_event(i, removed, guard);
+        let op = BatchOp::Delete {
+            rel: i,
+            t: t.clone(),
+        };
+        let (verdicts, _) = self.commit(std::slice::from_ref(&op), guard, tl)?;
+        let removed = verdicts[0];
+        self.engine
+            .observability()
+            .tracer
+            .emit_with(|| TraceEvent::DeleteApplied {
+                relation: Arc::from(self.engine.scheme().scheme(i).name()),
+                removed,
+            });
         if let Some(hm) = &self.shared.metrics {
+            hm.deletes.inc();
+            hm.record_guard(guard);
             hm.record_timeline(tl);
         }
         Ok(removed)
@@ -1073,11 +922,11 @@ impl<'e> WriteHandle<'e> {
     /// [`delete`](WriteHandle::delete) (the `idr fuzz --batch` oracle arm
     /// pins this).
     ///
-    /// On a typed error (a block already poisoned, a guard trip or a
-    /// capacity trip mid-batch, a storage failure) the **whole group** is
-    /// rolled back: no op of the batch is applied and nothing is logged —
-    /// the batch's single rollback point sits before its WAL append, so
-    /// log == memory holds without abort markers (DESIGN.md §16).
+    /// On a typed error (an insert into a poisoned block, a guard trip or
+    /// a capacity trip, a storage failure) the **whole group** is rolled
+    /// back: no op of the batch is applied and nothing is logged — the
+    /// unit's single rollback point sits before its WAL append, so
+    /// log == memory holds without abort records (DESIGN.md §16).
     pub fn apply_batch(&self, ops: &[BatchOp], guard: &Guard) -> Result<Vec<bool>, ExecError> {
         self.apply_batch_timed(ops, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1090,11 +939,7 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<Vec<bool>, ExecError> {
-        let _cur = timeline::set_current(tl);
-        let hub = self.hub();
-        let (verdicts, blocks) = hub.batch_op(ops, guard)?;
-        hub.sink_op_finished()?;
-        tl.stamp(Phase::Publish);
+        let (verdicts, blocks) = self.commit(ops, guard, tl)?;
         let applied = verdicts.iter().filter(|&&v| v).count();
         let obs = self.engine.observability();
         obs.tracer.emit_with(|| TraceEvent::BatchApplied {
@@ -1199,11 +1044,11 @@ impl<'e> ReadView<'e> {
     }
 }
 
-/// The IR query path shared by live (shim) and snapshot reads: the
-/// cached Theorem 4.1 expression over `state`, falling back to one
-/// whole-state chase when no bounded expression covers `x`.
 type ProjectionResult = Result<Option<Vec<Tuple>>, ExecError>;
 
+/// The IR query path of snapshot reads: the cached Theorem 4.1
+/// expression over `state`, falling back to one whole-state chase when
+/// no bounded expression covers `x`.
 fn project_ir(
     engine: &Engine,
     state: &DatabaseState,

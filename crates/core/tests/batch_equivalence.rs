@@ -171,3 +171,88 @@ fn batch_equals_per_op_on_a_100k_tuple_family() {
     );
     assert!(hub.read_view().is_consistent());
 }
+
+/// Parses `lines` into the state and `ops` (`+`/`-` prefixed tuple
+/// lines) of a two-block scheme `R1: A B keys A`, `R2: C D keys C`.
+fn two_block_case(lines: &str, ops: &[&str]) -> (Engine, DatabaseState, Vec<BatchOp>) {
+    use idr_relation::parse::{parse_scheme, parse_state, parse_tuple_line};
+    let db =
+        parse_scheme("universe: A B C D\nscheme R1: A B keys A\nscheme R2: C D keys C\n").unwrap();
+    let mut sym = SymbolTable::new();
+    let state = parse_state(lines, &db, &mut sym).unwrap();
+    let ops = ops
+        .iter()
+        .map(|op| {
+            let (rel, t) = parse_tuple_line(&op[1..], &db, &mut sym).unwrap();
+            match &op[..1] {
+                "+" => BatchOp::Insert { rel, t },
+                _ => BatchOp::Delete { rel, t },
+            }
+        })
+        .collect();
+    (Engine::new(db), state, ops)
+}
+
+#[test]
+fn batch_equals_per_op_on_a_poisoned_block() {
+    // Block T1 starts inconsistent (two R1 tuples clash on key A).
+    // Serially, deleting the offender restores consistency; the same
+    // delete as a group must do the same, not refuse the group because
+    // the block was poisoned when it started.
+    let g = Guard::unlimited();
+    let base = "R1: A=a B=b1\nR1: A=a B=b2\nR2: C=c D=d\n";
+    let (engine, state, ops) = two_block_case(base, &["-R1: A=a B=b2"]);
+    let batch_hub = engine.hub(&state, &g).unwrap();
+    assert!(!batch_hub.is_consistent());
+    assert_eq!(
+        batch_hub.write_handle().apply_batch(&ops, &g).unwrap(),
+        vec![true]
+    );
+    assert!(batch_hub.is_consistent());
+    assert_eq!(apply_serial(&engine, &state, &ops, &g), {
+        let v = batch_hub.read_view();
+        (vec![true], dump(v.state()), v.is_consistent())
+    });
+
+    // A delete then an insert in one group: the insert meets the tableau
+    // the delete's rebuild restored, so it is accepted, as serially.
+    let (engine, state, ops) = two_block_case(base, &["-R1: A=a B=b2", "+R1: A=a2 B=b"]);
+    let serial = apply_serial(&engine, &state, &ops, &g);
+    assert_eq!(serial.0, vec![true, true]);
+    let hub = engine.hub(&state, &g).unwrap();
+    assert_eq!(hub.write_handle().apply_batch(&ops, &g).unwrap(), serial.0);
+    assert_eq!(dump(hub.read_view().state()), serial.1);
+}
+
+#[test]
+fn an_insert_into_a_poisoned_block_fails_the_whole_group() {
+    // Block T2 is poisoned. The group first edits T1 (an accepted insert
+    // and a delete), then inserts into T2: that insert fails exactly as
+    // it fails on its own, and the T1 edits are undone — a failed group
+    // applies nothing.
+    let g = Guard::unlimited();
+    let base = "R1: A=a B=b\nR2: C=c D=d1\nR2: C=c D=d2\n";
+    let (engine, state, ops) =
+        two_block_case(base, &["+R1: A=a2 B=b", "-R1: A=a B=b", "+R2: C=c9 D=d"]);
+    let hub = engine.hub(&state, &g).unwrap();
+    let w = hub.write_handle();
+    let err = w.apply_batch(&ops, &g).unwrap_err();
+    assert!(
+        matches!(err, idr_core::ExecError::Inconsistent { .. }),
+        "{err:?}"
+    );
+    assert_eq!(
+        dump(hub.read_view().state()),
+        dump(&state),
+        "nothing applied"
+    );
+    let BatchOp::Insert { rel, t } = &ops[2] else {
+        unreachable!()
+    };
+    assert!(matches!(
+        w.insert(*rel, t.clone(), &g),
+        Err(idr_core::ExecError::Inconsistent { .. })
+    ));
+    // The undone T1 tableau still serves: the same T1 ops apply alone.
+    assert_eq!(w.apply_batch(&ops[..2], &g).unwrap(), vec![true, true]);
+}

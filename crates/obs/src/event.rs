@@ -194,16 +194,14 @@ pub enum TraceEvent {
         ops_shipped: usize,
     },
     /// Crash recovery finished replaying a WAL tail through the guarded
-    /// session path.
+    /// write path.
     RecoveryReplayed {
         /// The snapshot epoch recovery started from.
         epoch: u64,
         /// Complete, checksum-valid records found in the WAL.
         records: usize,
-        /// Ops replayed (after abort filtering).
+        /// Ops replayed.
         replayed: usize,
-        /// Op records skipped because an abort marker followed them.
-        aborted: usize,
         /// Bytes of crash-torn final record truncated.
         torn_bytes: usize,
     },
@@ -392,10 +390,9 @@ impl TraceEvent {
                 epoch,
                 records,
                 replayed,
-                aborted,
                 torn_bytes,
             } => format!(
-                "recovery_replayed epoch={epoch} records={records} replayed={replayed} aborted={aborted} torn_bytes={torn_bytes}"
+                "recovery_replayed epoch={epoch} records={records} replayed={replayed} torn_bytes={torn_bytes}"
             ),
             TraceEvent::EpochPublished {
                 epoch,
@@ -593,7 +590,6 @@ impl TraceEvent {
                 epoch,
                 records,
                 replayed,
-                aborted,
                 torn_bytes,
             } => {
                 w.key("epoch")
@@ -602,8 +598,6 @@ impl TraceEvent {
                     .u64(*records as u64)
                     .key("replayed")
                     .u64(*replayed as u64)
-                    .key("aborted")
-                    .u64(*aborted as u64)
                     .key("torn_bytes")
                     .u64(*torn_bytes as u64);
             }
@@ -774,8 +768,7 @@ mod tests {
             TraceEvent::RecoveryReplayed {
                 epoch: 3,
                 records: 7,
-                replayed: 5,
-                aborted: 1,
+                replayed: 7,
                 torn_bytes: 11,
             },
             TraceEvent::EpochPublished {

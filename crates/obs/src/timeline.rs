@@ -6,8 +6,12 @@
 //! phases follow the serving pipeline in order:
 //!
 //! ```text
-//! enqueue → lane-acquire → wal-append → batch-wait → fsync → apply → publish
+//! enqueue → lane-acquire → apply → wal-append → batch-wait → fsync → publish
 //! ```
+//!
+//! Every write earns its verdicts before it is logged, so `apply` — the
+//! chase and the in-place state edit under the block locks — precedes
+//! the WAL phases for single ops and framed groups alike.
 //!
 //! Stamps are first-write-wins atomics, so independent layers (the CLI
 //! dispatcher, the hub's writer lane, the group-commit WAL) can each
@@ -23,10 +27,10 @@
 //! where wall time is the point. Tests that need determinism use
 //! [`OpTimeline::record`], which bypasses the clock entirely.
 //!
-//! Because the durability traits have fixed signatures, the WAL layer
+//! Because the durability trait has fixed signatures, the WAL layer
 //! cannot receive a timeline parameter; instead the writer lane
 //! installs its op's timeline in a thread-local ([`set_current`]) for
-//! the duration of the synchronous log→chase→apply pipeline, and deeper
+//! the duration of the synchronous chase→apply→log pipeline, and deeper
 //! layers stamp through [`stamp_current`]. The install is RAII-scoped,
 //! so a panic or early return cannot leak one op's timeline into the
 //! next.
@@ -45,6 +49,8 @@ pub enum Phase {
     Enqueue,
     /// Writer lane acquired its block lock.
     LaneAcquire,
+    /// Verdicts earned: chase run and state edited under the block lock.
+    Apply,
     /// Op's WAL record queued for the group-commit writer.
     WalAppend,
     /// Group-commit wait over (leader finished its linger + drain, or
@@ -52,8 +58,6 @@ pub enum Phase {
     BatchWait,
     /// Op durable: its batch's fsync completed.
     Fsync,
-    /// Chase re-run and state mutation applied under the block lock.
-    Apply,
     /// Op visible: snapshot handoff (stale flag / snapshot cut) done.
     Publish,
 }
@@ -63,10 +67,10 @@ impl Phase {
     pub const ALL: [Phase; 7] = [
         Phase::Enqueue,
         Phase::LaneAcquire,
+        Phase::Apply,
         Phase::WalAppend,
         Phase::BatchWait,
         Phase::Fsync,
-        Phase::Apply,
         Phase::Publish,
     ];
 
@@ -75,10 +79,10 @@ impl Phase {
         match self {
             Phase::Enqueue => "enqueue",
             Phase::LaneAcquire => "lane_acquire",
+            Phase::Apply => "apply",
             Phase::WalAppend => "wal_append",
             Phase::BatchWait => "batch_wait",
             Phase::Fsync => "fsync",
-            Phase::Apply => "apply",
             Phase::Publish => "publish",
         }
     }

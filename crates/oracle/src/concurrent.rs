@@ -81,17 +81,16 @@ impl ConcurrentFuzzSummary {
 }
 
 /// An in-memory [`DurabilitySink`] that records the committed op order:
-/// each `log_op` renders the op as the canonical replay line (`insert
-/// R1: A=a B=b`) under the sink's internal lock, so the recorded order
-/// is exactly the order a WAL would have persisted. Values are resolved
-/// against the case's pre-interned symbol table (clients never intern
-/// during the run).
+/// each `log_ops` call renders its unit's ops as canonical replay lines
+/// (`insert R1: A=a B=b`) under the sink's internal lock, so the
+/// recorded order is exactly the order a WAL would have persisted.
+/// Values are resolved against the case's pre-interned symbol table
+/// (clients never intern during the run).
 #[derive(Debug)]
 struct RecordingSink {
     db: DatabaseScheme,
     symbols: SymbolTable,
     committed: Mutex<Vec<String>>,
-    aborts: Mutex<usize>,
 }
 
 impl RecordingSink {
@@ -100,36 +99,30 @@ impl RecordingSink {
             db,
             symbols,
             committed: Mutex::new(Vec::new()),
-            aborts: Mutex::new(0),
         }
     }
 }
 
 impl DurabilitySink for RecordingSink {
-    fn log_op(&self, op: DurableOp<'_>) -> Result<(), ExecError> {
-        let (verb, rel, t) = match op {
-            DurableOp::Insert { rel, t } => ("insert", rel, t),
-            DurableOp::Delete { rel, t } => ("delete", rel, t),
-        };
-        let line = format!("{verb} {}", render_tuple_line(&self.db, &self.symbols, rel, t));
-        self.committed
+    fn log_ops(&self, ops: &[DurableOp<'_>]) -> Result<(), ExecError> {
+        let mut committed = self
+            .committed
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(line);
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for &op in ops {
+            let (verb, rel, t) = match op {
+                DurableOp::Insert { rel, t } => ("insert", rel, t),
+                DurableOp::Delete { rel, t } => ("delete", rel, t),
+            };
+            committed.push(format!(
+                "{verb} {}",
+                render_tuple_line(&self.db, &self.symbols, rel, t)
+            ));
+        }
         Ok(())
     }
 
-    fn log_abort(&self) -> Result<(), ExecError> {
-        // Ops run under unlimited guards, so an abort is a case anomaly
-        // — counted and flagged by the driver, never silently dropped.
-        *self
-            .aborts
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-        Ok(())
-    }
-
-    fn op_finished(&self) -> Result<bool, ExecError> {
+    fn op_finished(&self, _ops: usize) -> Result<bool, ExecError> {
         Ok(false)
     }
 
@@ -366,17 +359,6 @@ fn run_case(seed: u64, summary: &mut ConcurrentFuzzSummary, metrics: Option<Arc<
     let errors = errors.into_inner().expect("error list lock");
     if !errors.is_empty() {
         return fail("client_error", errors.join("; "), String::new());
-    }
-    let aborts = *sink
-        .aborts
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if aborts > 0 {
-        return fail(
-            "setup",
-            format!("{aborts} abort(s) under unlimited guards"),
-            String::new(),
-        );
     }
     let view = hub.read_view();
     let observed = Observed {

@@ -2,7 +2,8 @@
 //! framed batch and one fsync.
 //!
 //! [`GroupWal`] wraps the open [`WalWriter`] behind a leader/follower
-//! protocol. Every append enqueues its payload and then either
+//! protocol. Every append enqueues its payloads — one write unit's
+//! records, contiguously — and then either
 //!
 //! * finds its record already durable (a concurrent leader's batch
 //!   carried it) and returns, or
@@ -29,9 +30,10 @@
 //!
 //! [`SharedStore`] layers the rest of the store contract on top: it
 //! implements the engine's [`DurabilitySink`] (the `&self`, many-writer
-//! shape) by rendering ops under a short store lock, appending
-//! through the group WAL *without* holding the store lock, and cutting
-//! quiesced snapshots when the cadence says one is due.
+//! shape) by rendering each write unit's ops under a short store lock,
+//! appending them as one contiguous run through the group WAL *without*
+//! holding the store lock, and cutting quiesced snapshots when the
+//! cadence says one is due.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +47,7 @@ use idr_relation::exec::ExecError;
 use idr_relation::DatabaseState;
 
 use crate::error::StoreError;
-use crate::store::{Store, ABORT_PAYLOAD};
+use crate::store::Store;
 use crate::wal::WalWriter;
 
 /// The append queue the leader drains. Sequence numbers are assigned at
@@ -102,8 +104,7 @@ struct GroupCfg {
     /// concurrent appends pile into its batch. Zero: drain immediately.
     window: Duration,
     /// Emit `group_committed` events and `store.group_*` metrics. Off
-    /// for the single-writer legacy path so its event stream is
-    /// unchanged.
+    /// until [`SharedStore::new`] wraps the store.
     grouping: bool,
     tracer: TraceHandle,
     metrics: Option<Arc<GroupMetrics>>,
@@ -191,34 +192,16 @@ impl GroupWal {
         self.fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Appends one payload through the group-commit protocol and returns
-    /// once it is durable (or the sync policy is off and it is written).
-    /// Returns the framed record's size in bytes.
-    ///
-    /// Record order on disk equals the arrival order of `append` calls,
-    /// so callers that serialize their own ops (the per-block write
-    /// lanes) keep their WAL order.
-    pub fn append(&self, payload: &str) -> Result<usize, StoreError> {
-        let framed = crate::wal::RECORD_HEADER_LEN + payload.len();
-        let mut q = relock(&self.queue);
-        if let Some(e) = &q.failed {
-            return Err(e.clone());
-        }
-        q.next_seq += 1;
-        let my_seq = q.next_seq;
-        q.pending.push_back(payload.to_string());
-        // The op's record is queued for the commit writer: wal-append
-        // is done from the op's point of view; what follows is waiting.
-        timeline::stamp_current(Phase::WalAppend);
-        self.commit_from(q, my_seq, framed)
-    }
-
     /// Appends `payloads` as one contiguous run through the group-commit
     /// protocol and returns once the *last* of them is durable. All
     /// records are enqueued under a single queue lock, so no concurrent
     /// writer's record can interleave between them and the whole run
     /// rides one commit barrier — one write pass, one fsync — no matter
     /// how large the batch is. Returns the total framed size in bytes.
+    ///
+    /// Record order on disk equals the arrival order of calls, so
+    /// callers that serialize their own writes (the per-block write
+    /// lanes) keep their WAL order.
     pub fn append_batch(&self, payloads: &[String]) -> Result<usize, StoreError> {
         if payloads.is_empty() {
             return Ok(0);
@@ -236,6 +219,8 @@ impl GroupWal {
             q.pending.push_back(p.clone());
         }
         let my_seq = q.next_seq;
+        // The unit's records are queued for the commit writer: wal-append
+        // is done from the writer's point of view; what follows is waiting.
         timeline::stamp_current(Phase::WalAppend);
         // Waiting on the last record's seq covers the whole run: the
         // queue is drained in seq order, so a batch that carries the
@@ -243,10 +228,9 @@ impl GroupWal {
         self.commit_from(q, my_seq, framed)
     }
 
-    /// The shared tail of [`append`](GroupWal::append) and
-    /// [`append_batch`](GroupWal::append_batch): wait until `my_seq` is
-    /// durable (a concurrent leader's batch carried it) or become the
-    /// leader and commit everything pending.
+    /// The tail of [`append_batch`](GroupWal::append_batch): wait until
+    /// `my_seq` is durable (a concurrent leader's batch carried it) or
+    /// become the leader and commit everything pending.
     fn commit_from<'a>(
         &'a self,
         mut q: MutexGuard<'a, Queue>,
@@ -431,20 +415,6 @@ impl SharedStore {
 }
 
 impl DurabilitySink for SharedStore {
-    fn log_op(&self, op: DurableOp<'_>) -> Result<(), ExecError> {
-        let t0 = Instant::now();
-        let (verb, payload) = self.lock().render_op(op)?;
-        // The slow part — batched write + fsync — runs with the store
-        // lock *released*, so concurrent renders/bookkeeping proceed.
-        let bytes = self.wal.append(&payload)?;
-        let mut store = self.lock();
-        store.note_append(verb, bytes);
-        if let Some(h) = &self.commit_us {
-            h.observe_duration(t0.elapsed());
-        }
-        Ok(())
-    }
-
     fn log_ops(&self, ops: &[DurableOp<'_>]) -> Result<(), ExecError> {
         if ops.is_empty() {
             return Ok(());
@@ -454,7 +424,8 @@ impl DurabilitySink for SharedStore {
         let mut payloads = Vec::with_capacity(ops.len());
         {
             // One store lock for all the renders, released before the
-            // slow batched write + fsync.
+            // slow batched write + fsync so concurrent renders and
+            // bookkeeping proceed.
             let store = self.lock();
             for &op in ops {
                 let (verb, payload) = store.render_op(op)?;
@@ -473,16 +444,8 @@ impl DurabilitySink for SharedStore {
         Ok(())
     }
 
-    fn log_abort(&self) -> Result<(), ExecError> {
-        let bytes = self.wal.append(ABORT_PAYLOAD)?;
-        let mut store = self.lock();
-        store.note_append("abort", bytes);
-        store.note_abort();
-        Ok(())
-    }
-
-    fn op_finished(&self) -> Result<bool, ExecError> {
-        Ok(self.lock().snapshot_due())
+    fn op_finished(&self, ops: usize) -> Result<bool, ExecError> {
+        Ok(self.lock().snapshot_due(ops))
     }
 
     fn write_snapshot(&self, state: &DatabaseState) -> Result<(), ExecError> {
@@ -501,12 +464,17 @@ mod tests {
         WalWriter::create(&dir.path().join("wal-0.log"), sync).unwrap()
     }
 
+    /// A one-record append: a write unit of one.
+    fn append(g: &GroupWal, payload: &str) -> Result<usize, StoreError> {
+        g.append_batch(&[payload.to_string()])
+    }
+
     #[test]
     fn single_threaded_zero_window_is_one_batch_per_op() {
         let dir = TempDir::new("group-serial");
         let g = GroupWal::new(writer(&dir, false));
         for i in 0..5 {
-            g.append(&format!("insert R1: A=a{i} B=b")).unwrap();
+            append(&g, &format!("insert R1: A=a{i} B=b")).unwrap();
         }
         assert_eq!(g.batches(), 5, "no concurrency, no batching");
         let scan = wal::scan_file(&dir.path().join("wal-0.log")).unwrap();
@@ -526,7 +494,7 @@ mod tests {
                 let g = Arc::clone(&g);
                 s.spawn(move || {
                     for i in 0..EACH {
-                        g.append(&format!("insert R{w}: A=w{w}i{i} B=b")).unwrap();
+                        append(&g, &format!("insert R{w}: A=w{w}i{i} B=b")).unwrap();
                     }
                 });
             }
@@ -560,7 +528,7 @@ mod tests {
             .collect();
         g.append_batch(&payloads).unwrap();
         assert_eq!(g.batches(), 1, "a whole batch rides one commit barrier");
-        g.append("insert R1: A=tail B=b").unwrap();
+        append(&g, "insert R1: A=tail B=b").unwrap();
         let scan = wal::scan_file(&dir.path().join("wal-0.log")).unwrap();
         assert_eq!(scan.records.len(), 51);
         for (i, r) in scan.records[..50].iter().enumerate() {
@@ -588,7 +556,7 @@ mod tests {
             let ga = Arc::clone(&g);
             s.spawn(move || {
                 for i in 0..50 {
-                    ga.append(&format!("insert R2: C=s{i} D=d")).unwrap();
+                    append(&ga, &format!("insert R2: C=s{i} D=d")).unwrap();
                 }
             });
         });
@@ -614,14 +582,14 @@ mod tests {
     fn batch_failure_is_sticky_and_broadcast() {
         let dir = TempDir::new("group-fail");
         let g = GroupWal::new(writer(&dir, false));
-        g.append("insert R1: A=a B=b").unwrap();
+        append(&g, "insert R1: A=a B=b").unwrap();
         // Poison the queue the way a failed batch would.
         relock(&g.queue).failed = Some(StoreError::Replay {
             detail: "injected batch failure".to_string(),
         });
-        let err = g.append("insert R1: A=a2 B=b").unwrap_err();
+        let err = append(&g, "insert R1: A=a2 B=b").unwrap_err();
         assert!(matches!(err, StoreError::Replay { .. }), "{err:?}");
         // Still failing: no recovery without reopening the store.
-        assert!(g.append("abort").is_err());
+        assert!(append(&g, "insert R1: A=a3 B=b").is_err());
     }
 }

@@ -4,31 +4,30 @@
 //! steps (Theorems 4.1/4.2); this crate makes that stream survive
 //! process death. Three pieces, all dependency-free:
 //!
-//! * **WAL** ([`wal`]): an append-only log of session ops — one text
+//! * **WAL** ([`wal`]): an append-only log of write ops — one text
 //!   line per record in the CLI's fixture syntax, framed as
 //!   `[len][crc32][payload]` with a vendored [`crc32`](crc32::crc32).
-//!   Appends fsync before the engine mutates memory (write-ahead), so
-//!   the log never lags the state.
+//!   A write unit's records are fsynced before the unit is acknowledged
+//!   (write-ahead), so the log never lags the state.
 //! * **Snapshots** ([`snapshot`]): the full state in the state-file
 //!   format, installed by `write temp + fsync + rename` and paired with
 //!   an epoch-numbered WAL; rotation compacts old logs.
 //! * **Recovery** ([`recover`](mod@recover)): loads the latest snapshot,
 //!   truncates a crash-torn final WAL record (a checksum-mismatched
 //!   *complete* record is instead a typed [`StoreError::Corrupt`]),
-//!   drops aborted ops, and replays the rest through the normal guarded
+//!   and replays every record through the normal guarded
 //!   [`WriteHandle`](idr_core::WriteHandle) path — the recovered state
 //!   *re-earns* its consistency verdict rather than trusting the log.
 //!
 //! [`SharedStore`] wraps a [`Store`] as the engine's owned
 //! [`DurabilitySink`](idr_core::DurabilitySink): hand one to
-//! [`Engine::hub_with`](idr_core::Engine::hub_with) and every mutation
-//! from every [`WriteHandle`](idr_core::WriteHandle) is committed to
-//! the log before memory changes, with the engine's rollback-on-`Err`
-//! paths mirrored by abort markers. Concurrent writers' appends are
-//! coalesced by [`GroupWal`] into one framed batch and **one fsync**
-//! (group commit). The bare [`Store`] still implements the legacy
-//! single-threaded [`Durability`](idr_core::durability::Durability)
-//! hook for the deprecated `Session` shim.
+//! [`Engine::hub_with`](idr_core::Engine::hub_with) and every write
+//! unit from every [`WriteHandle`](idr_core::WriteHandle) — a single
+//! insert or delete, or a framed group — is logged in one call once its
+//! verdicts are earned. A unit that fails before that call is undone in
+//! memory and leaves no record, so the log holds exactly the applied
+//! ops. Concurrent writers' appends are coalesced by [`GroupWal`] into
+//! one framed batch and **one fsync** (group commit).
 //!
 //! # Examples
 //!

@@ -14,9 +14,7 @@
 //!    truncated and counted; a checksum-mismatched *complete* record is
 //!    a typed [`StoreError::Corrupt`] — corruption is surfaced, never
 //!    repaired silently;
-//! 4. drop each op record immediately followed by an `abort` marker
-//!    (the engine rolled that op back before the crash);
-//! 5. replay the survivors through `Engine::hub` + a `WriteHandle`
+//! 4. replay every record through `Engine::hub` + a `WriteHandle`
 //!    under an unlimited guard — rejected inserts re-reject
 //!    deterministically, re-deriving the same state and verdict the
 //!    process held before it died. The WAL's record order is the
@@ -24,6 +22,12 @@
 //!    writers under group commit: per-block order is preserved by the
 //!    per-block write lanes, and cross-block ops commute (Theorem 4.2),
 //!    so this serial replay reproduces the concurrent final state.
+//!
+//! Every record is an op to replay: the write path logs a unit only
+//! after its verdicts are earned and logs nothing for a unit it rolls
+//! back, so there is nothing to filter. A record that is not an op —
+//! such as the `abort` marker older logs appended after a rolled-back
+//! op — fails recovery with a typed [`StoreError::Replay`].
 
 use std::path::Path;
 use std::sync::Arc;
@@ -36,7 +40,7 @@ use idr_relation::{DatabaseState, SymbolTable};
 
 use crate::error::StoreError;
 use crate::snapshot::{self, SCHEME_FILE};
-use crate::store::{Store, ABORT_PAYLOAD};
+use crate::store::Store;
 use crate::wal::{self, WalWriter};
 
 /// What recovery found and did, for logs and the `recovery_replayed`
@@ -51,10 +55,8 @@ pub struct RecoveryStats {
     pub wal_records: usize,
     /// Bytes of torn final record truncated from the WAL.
     pub torn_bytes: u64,
-    /// Ops replayed through the session (after abort filtering).
+    /// Ops replayed through the write pipeline (every WAL record).
     pub replayed: usize,
-    /// Op records skipped because an `abort` marker followed them.
-    pub aborted: usize,
     /// Replayed inserts the engine rejected (again) as inconsistent.
     pub rejected: usize,
 }
@@ -69,7 +71,7 @@ pub struct Recovered {
     /// The state after snapshot + WAL replay.
     pub state: DatabaseState,
     /// The replayed state's consistency verdict, re-earned through the
-    /// guarded session path.
+    /// guarded write path.
     pub consistent: bool,
     /// What recovery found and did.
     pub stats: RecoveryStats,
@@ -100,8 +102,6 @@ pub fn recover_with(
     let wal_path = snapshot::wal_path(dir, epoch);
     let scan = wal::scan_file(&wal_path)?;
 
-    // Abort filtering: an `abort` marker cancels the op logged right
-    // before it (the engine appends it only after rolling memory back).
     let mut stats = RecoveryStats {
         epoch,
         snapshot_tuples: snap_state.total_tuples(),
@@ -109,22 +109,6 @@ pub fn recover_with(
         torn_bytes: scan.torn_bytes,
         ..RecoveryStats::default()
     };
-    let mut pending: Vec<&str> = Vec::with_capacity(scan.records.len());
-    for record in &scan.records {
-        if record == ABORT_PAYLOAD {
-            if pending.pop().is_none() {
-                return Err(StoreError::Replay {
-                    detail: format!(
-                        "abort marker with no preceding op in {}",
-                        wal_path.display()
-                    ),
-                });
-            }
-            stats.aborted += 1;
-        } else {
-            pending.push(record);
-        }
-    }
 
     // Replay through the normal guarded write pipeline.
     let engine = Engine::new(db.clone());
@@ -136,7 +120,7 @@ pub fn recover_with(
             }
         })?;
         let writer = hub.write_handle();
-        for line in pending {
+        for line in &scan.records {
             // The shared replay entry re-earns each op's verdict: a
             // rejected insert re-rejects (including inserts into a block
             // an earlier replayed op already poisoned) — the
@@ -170,13 +154,11 @@ pub fn recover_with(
         epoch,
         records: stats.wal_records,
         replayed: stats.replayed,
-        aborted: stats.aborted,
         torn_bytes: stats.torn_bytes as usize,
     });
     if let Some(m) = &metrics {
         m.counter("store.recoveries").inc();
         m.counter("store.recovered_records").add(stats.wal_records as u64);
-        m.counter("store.recovered_aborts").add(stats.aborted as u64);
         if stats.torn_bytes > 0 {
             m.counter("store.torn_tails_truncated").inc();
         }

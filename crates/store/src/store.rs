@@ -1,20 +1,23 @@
-//! The [`Store`]: a data directory plus an open WAL, implementing the
-//! engine's [`Durability`] hook.
+//! The [`Store`]: a data directory plus an open WAL — the bookkeeping
+//! half of the engine's durability sink.
 //!
 //! A store owns the canonical [`SymbolTable`] for its data dir (behind
-//! an `Arc<Mutex<…>>` so callers can keep interning while a session
-//! borrows the store as its durability sink) and renders every logged op
-//! through it, in the same fixture syntax the CLI parses. Snapshot
+//! an `Arc<Mutex<…>>` so callers can keep interning while a hub writes
+//! through the store) and renders every logged op through it, in the
+//! same fixture syntax the CLI parses. Writes reach it wrapped in a
+//! [`SharedStore`](crate::SharedStore), the engine's
+//! [`DurabilitySink`](idr_core::DurabilitySink): each write unit arrives
+//! once its verdicts are earned, as one run of records, so the log holds
+//! exactly the ops memory applied — never an op to undo. Snapshot
 //! cadence is opt-in: with [`with_snapshot_every`](Store::with_snapshot_every)
-//! set, every `n`-th completed op cuts a snapshot and rotates the WAL to
-//! the next epoch.
+//! set, every `n` logged ops cut a snapshot and rotate the WAL to the
+//! next epoch.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use idr_core::durability::{DurableOp, Durability};
+use idr_core::durability::DurableOp;
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
-use idr_relation::exec::ExecError;
 use idr_relation::parse::{render_scheme_file, render_tuple_line};
 use idr_relation::{DatabaseScheme, DatabaseState, SymbolTable, Tuple};
 
@@ -22,9 +25,6 @@ use crate::error::StoreError;
 use crate::group::GroupWal;
 use crate::snapshot::{self, SCHEME_FILE};
 use crate::wal::{self, SegmentDigest, WalWriter};
-
-/// The WAL payload marking the immediately preceding op as rolled back.
-pub const ABORT_PAYLOAD: &str = "abort";
 
 /// An initialised data directory with an open write-ahead log.
 #[derive(Debug)]
@@ -103,7 +103,8 @@ impl Store {
         }
     }
 
-    /// Cuts a snapshot after every `n` completed ops (rotating the WAL).
+    /// Cuts a snapshot once `n` ops have been logged since the last one
+    /// (rotating the WAL); a framed group counts each of its ops.
     /// `None` (the default) disables automatic snapshots; call
     /// [`snapshot`](Store::snapshot) manually.
     pub fn with_snapshot_every(mut self, n: Option<u64>) -> Self {
@@ -140,7 +141,7 @@ impl Store {
     }
 
     /// The canonical symbol table for this data dir. Every tuple handed
-    /// to a durable session must be interned through it (the CLI and
+    /// to a durable hub must be interned through it (the CLI and
     /// the fuzzer lock it around `parse_tuple_line`).
     pub fn symbols(&self) -> Arc<Mutex<SymbolTable>> {
         Arc::clone(&self.symbols)
@@ -156,7 +157,7 @@ impl Store {
         self.epoch
     }
 
-    /// Records in the open WAL (ops + abort markers).
+    /// Op records in the open WAL.
     pub fn wal_records(&self) -> u64 {
         self.wal_records
     }
@@ -273,19 +274,10 @@ impl Store {
         Ok((verb, format!("{verb} {}", render_tuple_line(&self.db, &symbols, rel, t))))
     }
 
-    /// Appends one payload, updating counters and emitting the
-    /// `wal_appended` event.
-    fn append(&mut self, verb: &'static str, payload: &str) -> Result<(), StoreError> {
-        let bytes = self.wal.append(payload)?;
-        self.note_append(verb, bytes);
-        Ok(())
-    }
-
     /// Bookkeeping for one appended record: the record counter, the
-    /// `wal_appended` event and the `store.wal_*` metrics. Split from
-    /// [`append`](Store::append) so [`crate::SharedStore`] can run the
-    /// group-commit append *outside* the store lock and account for it
-    /// afterwards.
+    /// `wal_appended` event and the `store.wal_*` metrics.
+    /// [`crate::SharedStore`] runs the group-commit append *outside* the
+    /// store lock and accounts for it here afterwards.
     pub(crate) fn note_append(&mut self, verb: &'static str, bytes: usize) {
         self.wal_records += 1;
         self.tracer.emit_with(|| TraceEvent::WalAppended {
@@ -298,17 +290,10 @@ impl Store {
         }
     }
 
-    /// Counts one abort marker.
-    pub(crate) fn note_abort(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.counter("store.aborts").inc();
-        }
-    }
-
-    /// Counts one completed op against the snapshot cadence and reports
-    /// whether a snapshot is now due.
-    pub(crate) fn snapshot_due(&mut self) -> bool {
-        self.ops_since_snapshot += 1;
+    /// Counts the `ops` ops of one logged write unit against the
+    /// snapshot cadence and reports whether a snapshot is now due.
+    pub(crate) fn snapshot_due(&mut self, ops: usize) -> bool {
+        self.ops_since_snapshot += ops as u64;
         self.snapshot_every
             .is_some_and(|n| self.ops_since_snapshot >= n)
     }
@@ -326,26 +311,5 @@ impl Store {
     /// The attached metrics registry.
     pub(crate) fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
         self.metrics.clone()
-    }
-}
-
-impl Durability for Store {
-    fn log_op(&mut self, op: DurableOp<'_>) -> Result<(), ExecError> {
-        let (verb, payload) = self.render_op(op)?;
-        self.append(verb, &payload)?;
-        Ok(())
-    }
-
-    fn log_abort(&mut self) -> Result<(), ExecError> {
-        self.append("abort", ABORT_PAYLOAD)?;
-        self.note_abort();
-        Ok(())
-    }
-
-    fn op_finished(&mut self, state: &DatabaseState) -> Result<(), ExecError> {
-        if self.snapshot_due() {
-            self.snapshot(state)?;
-        }
-        Ok(())
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Payloads are single text lines in the CLI's fixture syntax
-//! (`insert R1: A=a B=b`, `delete R2: C=c D=d`, `abort`), so a WAL is
+//! (`insert R1: A=a B=b`, `delete R2: C=c D=d`), so a WAL is
 //! inspectable with nothing but `strings`. The framing makes two failure
 //! shapes distinguishable when scanning:
 //!

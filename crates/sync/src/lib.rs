@@ -17,7 +17,7 @@
 //!   framing ([`proto`]), so a transfer cut at any byte boundary —
 //!   a crash mid-sync — degrades to a shorter valid range;
 //! * shipped ops are replayed through the normal guarded
-//!   [`Session`](idr_core::Session) path in a **canonical total
+//!   [`WriteHandle`](idr_core::WriteHandle) path in a **canonical total
 //!   order** (`(seq, origin)`), re-earning every verdict
 //!   ([`replica::Replica`]); converged replicas are byte-identical in
 //!   rendered state, consistency verdict, and query answers.

@@ -18,7 +18,7 @@
 //! with low `seq` sort before our own later ops), so a replica applies
 //! incrementally only when the new order extends what it already
 //! applied, and otherwise rebuilds from empty through the normal
-//! guarded [`Session`](idr_core::Session) path — verdicts are
+//! guarded [`WriteHandle`](idr_core::WriteHandle) path — verdicts are
 //! re-earned, never trusted, the same discipline crash recovery uses.
 //!
 //! A crash wipes the materialised state but not the journals (the

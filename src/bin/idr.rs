@@ -78,8 +78,8 @@
 //! is the bulk-load fast path: see the README walkthrough for a
 //! million-tuple transcript.
 //! `idr recover` replays snapshot + WAL tail through the guarded engine,
-//! reports what it found (records replayed, aborts honoured, torn bytes
-//! truncated) and the re-earned consistency verdict; trailing attribute
+//! reports what it found (records replayed, inserts re-rejected, torn
+//! bytes truncated) and the re-earned consistency verdict; trailing attribute
 //! names run one query against the recovered state. `idr fuzz --crash`
 //! is the matching oracle: it cuts the WAL at every byte boundary,
 //! recovers, and differentially compares state, verdict and answers
@@ -1434,8 +1434,8 @@ fn report_recovery(dir: &str, rec: &store::Recovered) {
         String::new()
     };
     println!(
-        "recovered {dir} at epoch {}: {} snapshot tuple(s) + {} WAL record(s) ({} replayed, {} aborted, {} re-rejected{torn})",
-        s.epoch, s.snapshot_tuples, s.wal_records, s.replayed, s.aborted, s.rejected
+        "recovered {dir} at epoch {}: {} snapshot tuple(s) + {} WAL record(s) ({} replayed, {} re-rejected{torn})",
+        s.epoch, s.snapshot_tuples, s.wal_records, s.replayed, s.rejected
     );
     println!(
         "state: {} tuple(s), {}",
@@ -2655,16 +2655,16 @@ scheme R5: H S R  keys H S
         let tl = obs::OpTimeline::new();
         tl.record(obs::Phase::Enqueue, 0);
         tl.record(obs::Phase::LaneAcquire, 40);
-        tl.record(obs::Phase::WalAppend, 55);
-        tl.record(obs::Phase::BatchWait, 900);
-        tl.record(obs::Phase::Fsync, 1200);
-        tl.record(obs::Phase::Apply, 1250);
+        tl.record(obs::Phase::Apply, 90);
+        tl.record(obs::Phase::WalAppend, 105);
+        tl.record(obs::Phase::BatchWait, 950);
+        tl.record(obs::Phase::Fsync, 1250);
         tl.record(obs::Phase::Publish, 1260);
         assert_eq!(
             slow_op_json("insert", 7, 1000, &tl),
             "{\"type\":\"slow_op\",\"verb\":\"insert\",\"op\":7,\"threshold_us\":1000,\
-             \"total_us\":1260,\"enqueue_us\":0,\"lane_acquire_us\":40,\"wal_append_us\":15,\
-             \"batch_wait_us\":845,\"fsync_us\":300,\"apply_us\":50,\"publish_us\":10}"
+             \"total_us\":1260,\"enqueue_us\":0,\"lane_acquire_us\":40,\"apply_us\":50,\
+             \"wal_append_us\":15,\"batch_wait_us\":845,\"fsync_us\":300,\"publish_us\":10}"
         );
     }
 

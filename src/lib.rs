@@ -103,9 +103,8 @@ pub mod prelude {
         chase, chase_fast, is_consistent, representative_instance, total_projection,
     };
     pub use idr_core::classify::{classify, Classification};
-    pub use idr_core::durability::{Durability, DurabilitySink, DurableOp};
-    pub use idr_core::engine::{Engine, Session};
-    pub use idr_core::engine::Observability;
+    pub use idr_core::durability::{DurabilitySink, DurableOp};
+    pub use idr_core::engine::{Engine, Observability};
     pub use idr_core::serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
     pub use idr_core::exec::{Budget, ExecError, Guard, GuardSnapshot, RetryPolicy};
     pub use idr_core::maintain::{CtmMaintainer, IrMaintainer, MaintenanceOutcome};

@@ -4,7 +4,7 @@
 //!
 //! The load-bearing claim is Theorem 4.2 read as a concurrency theorem:
 //! per-block WAL order equals per-block apply order (the writer holds
-//! the block's lock across *log → chase → apply*), and ops on different
+//! the block's lock across *chase → apply → log*), and ops on different
 //! blocks commute — so **a serial replay of the committed WAL order must
 //! reproduce the concurrent final state byte for byte**, no matter how
 //! the scheduler interleaved the clients. The tests here check exactly

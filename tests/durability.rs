@@ -4,38 +4,35 @@
 //! one that died — same state, same re-earned consistency verdict, same
 //! query answers.
 //!
-//! * Round trip: a durable session's ops survive a drop/recover cycle,
-//!   including automatic snapshot rotation mid-stream.
+//! Every test writes through the one write path: a hub over a
+//! [`SharedStore`] sink, where each write unit earns its verdicts and is
+//! then logged in one call.
+//!
+//! * Round trip: durable ops survive a drop/recover cycle, including
+//!   automatic snapshot rotation mid-stream; the rotation cadence counts
+//!   ops, so framed groups advance it by their size.
 //! * Torn tail: a crash mid-append leaves an incomplete final record;
 //!   recovery truncates it, and a second recovery sees a clean log.
 //! * Corruption: a *complete* record with a bad checksum is a typed
 //!   [`StoreError::Corrupt`], never silently repaired.
-//! * Abort markers: guard-tripped inserts and deletes roll memory back
-//!   and append an `abort` marker; recovery drops the cancelled op
-//!   (these are the targeted tests the crash fuzzer's docs defer to —
-//!   the fuzzer itself never trips guards mid-op).
+//! * Guard trips: a guard-tripped insert or delete is undone in memory
+//!   and logs no record, so recovery equals memory (the crash fuzzer
+//!   itself never trips guards mid-op). A legacy `abort` record fails
+//!   recovery with a typed [`StoreError::Replay`].
 //! * Re-earned verdicts: a logged-but-rejected insert re-rejects on
 //!   replay; the verdict comes from re-execution, not from the log.
 //! * A bounded run of the crash-point fuzzer (`idr-oracle`), which cuts
 //!   the WAL at every byte boundary and diffs recovery against a
 //!   never-crashed oracle.
 
-// These tests drive the legacy single-writer `Durability` hook through
-// the deprecated `Session` shim on purpose: the shim must keep working
-// until it is removed, and this file is its durability coverage. The
-// concurrent `SharedStore`/`DurabilitySink` path is covered by
-// tests/concurrency_stress.rs and the oracle's concurrent arms.
-#![allow(deprecated)]
-
+use std::sync::Arc;
 use std::time::Duration;
 
 use independence_reducible::exec::{Budget, Guard};
 use independence_reducible::oracle::crash_fuzz;
 use independence_reducible::prelude::*;
-use independence_reducible::relation::parse::{
-    parse_scheme, parse_tuple_line, render_tuple_line,
-};
-use independence_reducible::store::{recover, Store, StoreError, TempDir};
+use independence_reducible::relation::parse::{parse_scheme, parse_tuple_line, render_tuple_line};
+use independence_reducible::store::{recover, wal, SharedStore, Store, StoreError, TempDir};
 
 /// The doc-example scheme: two independent single-key relations, enough
 /// to exercise accepts, rejects and deletes without chase surprises.
@@ -61,32 +58,47 @@ fn state_lines(db: &DatabaseScheme, state: &DatabaseState, symbols: &SymbolTable
 }
 
 /// Runs `ops` (fixture lines, `+` insert / `-` delete) through a durable
-/// session on `store` starting from the empty state, returning each
-/// op's outcome.
-fn run_ops(store: &mut Store, ops: &[(char, &str)]) -> Vec<bool> {
-    let empty = DatabaseState::empty(store.scheme());
+/// hub on `store` starting from the empty state, returning each op's
+/// outcome.
+fn run_ops(store: &Arc<SharedStore>, ops: &[(char, &str)]) -> Vec<bool> {
+    let empty = DatabaseState::empty(store.lock().scheme());
     run_ops_on_state(store, &empty, ops)
+}
+
+/// Parses one fixture line through the store's symbol table.
+fn tuple(store: &SharedStore, line: &str) -> (usize, Tuple) {
+    let db = store.lock().scheme().clone();
+    let symbols = store.symbols();
+    let mut sym = symbols.lock().unwrap();
+    parse_tuple_line(line, &db, &mut sym).unwrap()
+}
+
+/// Wraps a fresh data dir's store as the shared durability sink.
+fn shared(store: Store) -> Arc<SharedStore> {
+    Arc::new(SharedStore::new(store))
 }
 
 #[test]
 fn snapshot_rotation_and_replay_round_trip() {
     let dir = TempDir::new("roundtrip");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db)
-        .unwrap()
-        .with_snapshot_every(Some(2));
+    let store = shared(
+        Store::init(dir.path(), &db)
+            .unwrap()
+            .with_snapshot_every(Some(2)),
+    );
     let ops: &[(char, &str)] = &[
         ('+', "R1: A=a1 B=b1"),
         ('+', "R2: C=c1 D=d1"), // op 2 → snapshot, rotate to epoch 1
         ('+', "R1: A=a2 B=b2"),
         ('-', "R2: C=c1 D=d1"),
     ];
-    let outcomes = run_ops(&mut store, ops);
+    let outcomes = run_ops(&store, ops);
     assert_eq!(outcomes, vec![true, true, true, true]);
     // The rotation happened mid-stream: two snapshots were cut (after
     // op 2 and op 4), so the live WAL is empty again.
-    assert_eq!(store.epoch(), 2);
-    assert_eq!(store.wal_records(), 0);
+    assert_eq!(store.lock().epoch(), 2);
+    assert_eq!(store.lock().wal_records(), 0);
     drop(store); // simulate process death
 
     let rec = recover(dir.path()).unwrap();
@@ -101,8 +113,8 @@ fn snapshot_rotation_and_replay_round_trip() {
 
     // The recovered store appends where the old one left off: one more
     // durable op, one more recovery.
-    let mut store = rec.store;
-    run_ops_on_state(&mut store, &rec.state, &[('+', "R2: C=c9 D=d9")]);
+    let store = shared(rec.store);
+    run_ops_on_state(&store, &rec.state, &[('+', "R2: C=c9 D=d9")]);
     drop(store);
     let rec = recover(dir.path()).unwrap();
     assert!(rec.consistent);
@@ -111,40 +123,80 @@ fn snapshot_rotation_and_replay_round_trip() {
 }
 
 /// Like [`run_ops`] but resuming from an existing (recovered) state.
-fn run_ops_on_state(store: &mut Store, base: &DatabaseState, ops: &[(char, &str)]) -> Vec<bool> {
-    let db = store.scheme().clone();
-    let symbols = store.symbols();
+fn run_ops_on_state(
+    store: &Arc<SharedStore>,
+    base: &DatabaseState,
+    ops: &[(char, &str)],
+) -> Vec<bool> {
+    let engine = Engine::new(store.lock().scheme().clone());
+    let guard = Guard::unlimited();
+    let hub = engine.hub_with(base, &guard, store.clone()).unwrap();
+    let w = hub.write_handle();
+    ops.iter()
+        .map(|&(kind, line)| {
+            let (rel, t) = tuple(store, line);
+            match kind {
+                '+' => w.insert(rel, t, &guard).unwrap(),
+                '-' => w.delete(rel, &t, &guard).unwrap(),
+                _ => unreachable!("op kind is '+' or '-'"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn snapshot_cadence_counts_ops_not_groups() {
+    // Two framed groups of three inserts under a cadence of four: the
+    // second group crosses the threshold (6 ops ≥ 4) and rotates.
+    let dir = TempDir::new("cadence");
+    let db = scheme();
+    let store = shared(
+        Store::init(dir.path(), &db)
+            .unwrap()
+            .with_snapshot_every(Some(4)),
+    );
     let engine = Engine::new(db.clone());
     let guard = Guard::unlimited();
-    let mut session = engine
-        .session(base, &guard)
-        .unwrap()
-        .with_durability(store);
-    let mut outcomes = Vec::new();
-    for &(kind, line) in ops {
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line(line, &db, &mut sym).unwrap()
-        };
-        let ok = match kind {
-            '+' => session.insert(rel, t, &guard).unwrap(),
-            '-' => session.delete(rel, &t, &guard).unwrap(),
-            _ => unreachable!("op kind is '+' or '-'"),
-        };
-        outcomes.push(ok);
+    let hub = engine
+        .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+        .unwrap();
+    let w = hub.write_handle();
+    for g in 0..2 {
+        let group: Vec<BatchOp> = (0..3)
+            .map(|k| {
+                let (rel, t) = tuple(&store, &format!("R1: A=a{g}{k} B=b"));
+                BatchOp::Insert { rel, t }
+            })
+            .collect();
+        assert_eq!(w.apply_batch(&group, &guard).unwrap(), vec![true; 3]);
     }
-    outcomes
+    assert_eq!(
+        store.lock().epoch(),
+        1,
+        "six logged ops reach a cadence of four"
+    );
+    assert_eq!(store.lock().wal_records(), 0);
+
+    // Single ops count one each: three under a cadence of two rotate once.
+    let dir = TempDir::new("cadence-per-op");
+    let store = shared(
+        Store::init(dir.path(), &db)
+            .unwrap()
+            .with_snapshot_every(Some(2)),
+    );
+    let ops: Vec<(char, String)> = (0..3).map(|k| ('+', format!("R2: C=c{k} D=d"))).collect();
+    let ops: Vec<(char, &str)> = ops.iter().map(|(c, l)| (*c, l.as_str())).collect();
+    assert_eq!(run_ops(&store, &ops), vec![true; 3]);
+    assert_eq!(store.lock().epoch(), 1);
+    assert_eq!(store.lock().wal_records(), 1);
 }
 
 #[test]
 fn torn_final_record_is_truncated_and_tolerated() {
     let dir = TempDir::new("torn");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    run_ops(
-        &mut store,
-        &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")],
-    );
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    run_ops(&store, &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")]);
     drop(store);
 
     // Crash mid-append: a partial header at the tail of the live WAL.
@@ -173,8 +225,8 @@ fn torn_final_record_is_truncated_and_tolerated() {
 fn complete_record_with_bad_checksum_is_a_typed_corruption_error() {
     let dir = TempDir::new("corrupt");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    run_ops(&mut store, &[('+', "R1: A=a1 B=b1")]);
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    run_ops(&store, &[('+', "R1: A=a1 B=b1")]);
     drop(store);
 
     // Flip the last payload byte: the record is structurally complete,
@@ -191,99 +243,129 @@ fn complete_record_with_bad_checksum_is_a_typed_corruption_error() {
     }
 }
 
-#[test]
-fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
-    let dir = TempDir::new("abort-insert");
-    let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    {
-        let symbols = store.symbols();
-        let engine = Engine::new(db.clone());
-        let guard = Guard::unlimited();
-        let mut session = engine
-            .session(&DatabaseState::empty(&db), &guard)
-            .unwrap()
-            .with_durability(&mut store);
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a1 B=b1", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t, &guard).unwrap());
-        // An already-expired deadline trips the chase after the WAL
-        // record is committed; the engine rolls memory back and appends
-        // the abort marker.
-        let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a2 B=b2", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t, &tripped).is_err());
-        // The session stays usable after the rollback.
-        assert!(session.is_consistent());
-    }
-    // Log: insert, insert, abort.
-    assert_eq!(store.wal_records(), 3);
-    drop(store);
-
+/// Asserts the recovered state of `dir` equals `memory` (rendered
+/// through the live store's table) and returns the recovery.
+fn assert_recovery_equals_memory(
+    dir: &TempDir,
+    memory: Vec<String>,
+) -> independence_reducible::store::Recovered {
     let rec = recover(dir.path()).unwrap();
-    assert_eq!(rec.stats.wal_records, 3);
-    assert_eq!(rec.stats.aborted, 1);
-    assert_eq!(rec.stats.replayed, 1);
-    assert!(rec.consistent);
     let symbols = rec.store.symbols();
     let lines = state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
-    assert_eq!(lines, vec!["R1: A=a1 B=b1"]);
+    assert_eq!(lines, memory, "recovery equals memory");
+    rec
 }
 
 #[test]
-fn guard_tripped_delete_logs_an_abort_marker_that_recovery_skips() {
-    let dir = TempDir::new("abort-delete");
+fn guard_tripped_insert_logs_no_record() {
+    let dir = TempDir::new("trip-insert");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    {
-        let symbols = store.symbols();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    let memory = {
         let engine = Engine::new(db.clone());
         let guard = Guard::unlimited();
-        let mut session = engine
-            .session(&DatabaseState::empty(&db), &guard)
-            .unwrap()
-            .with_durability(&mut store);
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a1 B=b1", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t.clone(), &guard).unwrap());
-        let (rel2, t2) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a2 B=b2", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel2, t2, &guard).unwrap());
-        // Delete rebuilds the touched block under the caller's guard; an
-        // expired deadline aborts the rebuild (the surviving tuple keeps
-        // it non-trivial) after the record is logged, and the deleted
-        // tuple is restored — delete is all-or-nothing.
+        let hub = engine
+            .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+            .unwrap();
+        let w = hub.write_handle();
+        let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
+        assert!(w.insert(rel, t, &guard).unwrap());
+        let before = store.lock().wal_records();
+        // An already-expired deadline trips the chase before the unit
+        // reaches the log: memory is undone and nothing is written.
         let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
-        assert!(session.delete(rel, &t, &tripped).is_err());
-        assert!(session.is_consistent());
-    }
-    // Log: insert, insert, delete, abort.
-    assert_eq!(store.wal_records(), 4);
+        let (rel, t) = tuple(&store, "R1: A=a2 B=b2");
+        assert!(w.insert(rel, t, &tripped).is_err());
+        assert_eq!(
+            store.lock().wal_records(),
+            before,
+            "a tripped insert logs nothing"
+        );
+        // The hub stays usable after the rollback.
+        assert!(hub.is_consistent());
+        let symbols = store.symbols();
+        let lines = state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
+        lines
+    };
+    assert_eq!(memory, vec!["R1: A=a1 B=b1"]);
     drop(store);
 
-    let rec = recover(dir.path()).unwrap();
-    assert_eq!(rec.stats.aborted, 1);
+    let rec = assert_recovery_equals_memory(&dir, memory);
+    assert_eq!(rec.stats.wal_records, 1);
+    assert_eq!(rec.stats.replayed, 1);
+    assert!(rec.consistent);
+}
+
+#[test]
+fn guard_tripped_delete_logs_no_record() {
+    let dir = TempDir::new("trip-delete");
+    let db = scheme();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    let memory = {
+        let engine = Engine::new(db.clone());
+        let guard = Guard::unlimited();
+        let hub = engine
+            .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+            .unwrap();
+        let w = hub.write_handle();
+        let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
+        assert!(w.insert(rel, t.clone(), &guard).unwrap());
+        let (rel2, t2) = tuple(&store, "R1: A=a2 B=b2");
+        assert!(w.insert(rel2, t2, &guard).unwrap());
+        let before = store.lock().wal_records();
+        // Delete rebuilds the touched block under the caller's guard; an
+        // expired deadline trips the rebuild (the surviving tuple keeps
+        // it non-trivial), so the removed tuple is restored and the
+        // delete never reaches the log — delete is all-or-nothing.
+        let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
+        assert!(w.delete(rel, &t, &tripped).is_err());
+        assert_eq!(
+            store.lock().wal_records(),
+            before,
+            "a tripped delete logs nothing"
+        );
+        assert!(hub.is_consistent());
+        let symbols = store.symbols();
+        let lines = state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
+        lines
+    };
+    assert_eq!(memory.len(), 2);
+    drop(store);
+
+    let rec = assert_recovery_equals_memory(&dir, memory);
     assert_eq!(rec.stats.replayed, 2);
     assert!(rec.consistent);
-    assert_eq!(rec.state.total_tuples(), 2);
+}
+
+#[test]
+fn legacy_abort_record_fails_recovery_with_a_typed_error() {
+    // Older logs appended an `abort` record after a rolled-back op. The
+    // write path no longer writes one, and recovery no longer filters
+    // them: such a log is reported, not silently reinterpreted.
+    let dir = TempDir::new("legacy-abort");
+    let db = scheme();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    run_ops(&store, &[('+', "R1: A=a1 B=b1")]);
+    drop(store);
+
+    let path = dir.path().join("wal-0.log");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&wal::encode_record("abort"));
+    std::fs::write(&path, &bytes).unwrap();
+
+    match recover(dir.path()) {
+        Err(StoreError::Replay { detail }) => assert!(detail.contains("abort"), "{detail}"),
+        other => panic!("expected StoreError::Replay, got {other:?}"),
+    }
 }
 
 #[test]
 fn rejected_insert_is_replayed_and_rejected_again() {
     let dir = TempDir::new("reject");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
     let outcomes = run_ops(
-        &mut store,
+        &store,
         &[
             ('+', "R1: A=a1 B=b1"),
             ('+', "R1: A=a1 B=b2"), // key A violation — rejected
@@ -291,9 +373,8 @@ fn rejected_insert_is_replayed_and_rejected_again() {
         ],
     );
     assert_eq!(outcomes, vec![true, false, true]);
-    // Rejected ops stay in the log (no abort marker — the engine state
-    // was never speculatively changed); replay re-derives the verdict.
-    assert_eq!(store.wal_records(), 3);
+    // Rejected ops stay in the log; replay re-derives the verdict.
+    assert_eq!(store.lock().wal_records(), 3);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
