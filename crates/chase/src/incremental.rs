@@ -33,9 +33,23 @@
 //!
 //! The engine is *resumable*: a budget or deadline trip leaves the
 //! worklist intact, and a later [`run`](IncrementalChase::run) with a
-//! fresh guard picks up where it stopped. An inconsistency, by contrast,
-//! poisons the engine permanently (the chase result is the empty tableau;
-//! callers rebuild from the state).
+//! fresh guard picks up where it stopped. An inconsistency poisons the
+//! engine (the chase result is the empty tableau) until the rows that
+//! caused it are [retracted](IncrementalChase::retract).
+//!
+//! ## Component-local repair
+//!
+//! The union-find cannot unmerge, but it does not have to rebuild the
+//! whole tableau either. An fd rule fires only between rows whose
+//! left-hand-side cells already share classes, so rows that share no
+//! class never influence each other: a connected component of rows
+//! (linked through shared classes, interned constants included) chases
+//! to the same fixpoint whatever the rest of the tableau holds.
+//! [`retract`](IncrementalChase::retract) exploits this: it tombstones
+//! the given rows, resets the nodes of their component to singletons and
+//! re-chases only the component's survivors — O(component), not
+//! O(tableau). Tombstoned rows keep their indices, so row ids named by
+//! provenance stay stable; every walk over the rows skips them.
 //!
 //! ## Observability and provenance
 //!
@@ -61,7 +75,7 @@
 //! rows, and the firing chains under which their left-hand sides came
 //! to agree.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use idr_fd::{Fd, FdSet};
@@ -174,8 +188,14 @@ pub struct IncrementalChase {
     /// occupy `r*width .. (r+1)*width`. One allocation for the whole
     /// tableau instead of one `Vec<u32>` per row.
     cells: Vec<u32>,
-    /// Origin tags, parallel to `cells`.
+    /// Origin tags, one per row.
     tags: Vec<Option<usize>>,
+    /// Tombstones, one per row: a [retracted](IncrementalChase::retract)
+    /// row keeps its index but belongs to no class membership list, no
+    /// index slot and no worklist.
+    dead: Vec<bool>,
+    /// Number of tombstoned rows.
+    dead_count: usize,
     /// Per-column interner for constant nodes: a constant's node is
     /// allocated once, so a later insert of a matching constant lands in
     /// the same class automatically.
@@ -240,6 +260,8 @@ impl IncrementalChase {
             member_next: Vec::new(),
             cells: Vec::new(),
             tags: Vec::new(),
+            dead: Vec::new(),
+            dead_count: 0,
             const_nodes: vec![HashMap::new(); width],
             dv_nodes: vec![None; width],
             next_ndv: 0,
@@ -396,6 +418,7 @@ impl IncrementalChase {
                 e.push_member(node, entry);
             }
             e.tags.push(row.tag);
+            e.dead.push(false);
             e.queued.push(true);
             e.work.push(r);
         }
@@ -442,6 +465,7 @@ impl IncrementalChase {
             self.push_member(root, entry);
         }
         self.tags.push(tag);
+        self.dead.push(false);
         self.queued.push(true);
         self.work.push(r);
         Ok(r as usize)
@@ -455,11 +479,14 @@ impl IncrementalChase {
     ///
     /// The chase is Church–Rosser, so a batch that chases to a fixpoint
     /// yields a tableau *identical* to pushing and running each tuple
-    /// serially. The batch has a **single rollback point**: on any error
-    /// — inconsistency (which does not attribute a culprit tuple) or a
-    /// resource trip (which leaves every batch row speculative) — the
-    /// caller must discard this engine and rebuild from the pre-batch
-    /// state (DESIGN.md §16).
+    /// serially. The rows are appended at indices `len()` before the
+    /// call onwards. On an inconsistency (which does not attribute a
+    /// culprit tuple) the caller [retracts](IncrementalChase::retract)
+    /// every row the batch pushed, which restores the pre-batch fixpoint
+    /// at the cost of the rows' component. A resource trip leaves the
+    /// batch rows speculative and the chase mid-run; the caller either
+    /// resumes with [`run`](IncrementalChase::run) or rebuilds from the
+    /// pre-batch state (DESIGN.md §16).
     pub fn insert_batch<'a, I>(&mut self, tuples: I, guard: &Guard) -> Result<ChaseStats, ExecError>
     where
         I: IntoIterator<Item = (&'a Tuple, Option<usize>)>,
@@ -469,7 +496,7 @@ impl IncrementalChase {
         }
         self.trace.emit_with(|| TraceEvent::ChaseStarted {
             scope: self.scope.clone(),
-            rows: self.tags.len(),
+            rows: self.live_len(),
             fds: self.fds.fds().len(),
         });
         self.dirtied_in_run = 0;
@@ -521,7 +548,7 @@ impl IncrementalChase {
         }
         self.trace.emit_with(|| TraceEvent::ChaseStarted {
             scope: self.scope.clone(),
-            rows: self.tags.len(),
+            rows: self.live_len(),
             fds: self.fds.fds().len(),
         });
         self.dirtied_in_run = 0;
@@ -556,6 +583,153 @@ impl IncrementalChase {
         Ok(())
     }
 
+    /// The live rows pushed for `tuple` with origin `tag`, ascending —
+    /// several when the same tuple was pushed more than once. Every such
+    /// row holds the interned constant node of each of the tuple's
+    /// values, so one value's class membership list holds them all; the
+    /// scan costs that class's size, which never exceeds the size of the
+    /// rows' component.
+    pub fn rows_of(&self, tuple: &Tuple, tag: Option<usize>) -> Vec<usize> {
+        let mut nodes = Vec::new();
+        for (a, v) in tuple.iter() {
+            match self.const_nodes[a.index()].get(&v) {
+                Some(&n) => nodes.push((a.index(), n)),
+                None => return Vec::new(),
+            }
+        }
+        let Some(&(_, first)) = nodes.first() else {
+            return Vec::new();
+        };
+        let width = self.width as u32;
+        let mut out = Vec::new();
+        let mut e = self.member_head[self.find_ro(first) as usize];
+        while e != NIL {
+            let r = (e / width) as usize;
+            if self.tags[r] == tag && nodes.iter().all(|&(c, n)| self.cell(r as u32, c) == n) {
+                out.push(r);
+            }
+            e = self.member_next[e as usize];
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Retracts `rows` and repairs the chase around them: the rows are
+    /// tombstoned, every class their component touches is reset to
+    /// singletons (the nodes keep their birth symbols, so a reset is
+    /// exact), the component's index slots are dropped, and the
+    /// component's surviving rows are re-chased — together with any work
+    /// a failed or interrupted run left pending — to a fixpoint. The
+    /// failure and rejection a failed run recorded are cleared first; an
+    /// inconsistency among the survivors is found again.
+    ///
+    /// The component is the closure of `rows` under sharing a class, so
+    /// rows outside it hold no node of it: their classes, index slots and
+    /// fixpoint are untouched, and the result equals a fresh chase of
+    /// the live rows up to ndv renaming. This holds for any fd set: a
+    /// rule fires only between rows whose left-hand sides already share
+    /// classes, and an fd with an empty left-hand side has, once chased,
+    /// put every row into one class of its right-hand side (rows a
+    /// failed run left unchased are still queued and are chased after
+    /// the repair).
+    ///
+    /// Returns the number of survivors re-chased. The guard is checked
+    /// before anything changes and charged for the re-chase like any run;
+    /// on a resource trip the survivors stay queued, resumable by
+    /// [`run`](IncrementalChase::run).
+    pub fn retract(&mut self, rows: &[usize], guard: &Guard) -> Result<usize, ExecError> {
+        guard.checkpoint()?;
+        let (component, retracted) = self.component_of(rows);
+        // Drop the component's index slots while its keys still resolve
+        // through the old classes; stale slots left elsewhere are caught
+        // by the lazy validation in `step_row_with`.
+        let mut key = std::mem::take(&mut self.key_scratch);
+        for &r in &component {
+            for fi in 0..self.fds.fds().len() {
+                self.fill_key(fi, r, &mut key);
+                if self.keyidx[fi].get(key.as_slice()) == Some(&r) {
+                    self.keyidx[fi].remove(key.as_slice());
+                }
+            }
+        }
+        self.key_scratch = key;
+        for &r in &component[..retracted] {
+            self.dead[r as usize] = true;
+        }
+        self.dead_count += retracted;
+        let width = self.width;
+        for &r in &component {
+            for entry in r as usize * width..(r as usize + 1) * width {
+                let n = self.cells[entry] as usize;
+                self.parent[n] = n as u32;
+                self.member_head[n] = NIL;
+                self.member_tail[n] = NIL;
+                self.link[n] = None;
+                self.member_next[entry] = NIL;
+            }
+        }
+        for &r in &component {
+            if self.dead[r as usize] {
+                continue;
+            }
+            for entry in r as usize * width..(r as usize + 1) * width {
+                self.push_member(self.cells[entry], entry as u32);
+            }
+        }
+        let dead = &self.dead;
+        let queued = &mut self.queued;
+        self.work.retain(|&r| {
+            let keep = !dead[r as usize];
+            queued[r as usize] &= keep;
+            keep
+        });
+        // Pushed in reverse so the stack pops survivors in row order.
+        for &r in component.iter().rev() {
+            if !self.dead[r as usize] {
+                self.enqueue(r);
+            }
+        }
+        self.failure = None;
+        self.rejection = None;
+        self.run(guard)?;
+        Ok(component.len() - retracted)
+    }
+
+    /// The live rows sharing a class with `rows`, transitively, and how
+    /// many of them are `rows` themselves (distinct and live) — those
+    /// come first, the rest in discovery order.
+    fn component_of(&self, rows: &[usize]) -> (Vec<u32>, usize) {
+        let width = self.width as u32;
+        let mut seen_rows: HashSet<u32> = HashSet::new();
+        let mut seen_classes: HashSet<u32> = HashSet::new();
+        let mut out: Vec<u32> = Vec::new();
+        for &r in rows {
+            if !self.dead[r] && seen_rows.insert(r as u32) {
+                out.push(r as u32);
+            }
+        }
+        let given = out.len();
+        let mut i = 0;
+        while i < out.len() {
+            let r = out[i];
+            i += 1;
+            for c in 0..self.width {
+                let root = self.find_ro(self.cell(r, c));
+                if !seen_classes.insert(root) {
+                    continue;
+                }
+                let mut e = self.member_head[root as usize];
+                while e != NIL {
+                    if seen_rows.insert(e / width) {
+                        out.push(e / width);
+                    }
+                    e = self.member_next[e as usize];
+                }
+            }
+        }
+        (out, given)
+    }
+
     /// Probes one dirty row against every fd. Key canonicalisation goes
     /// through the reusable scratch buffers (swapped out of `self` for
     /// the duration so the borrows stay disjoint): probing the index
@@ -585,12 +759,18 @@ impl IncrementalChase {
                 }
                 Some(rep) if rep == r => {}
                 Some(rep) => {
-                    // Validate lazily: the stored representative's key may
-                    // have changed since it was indexed. If so, this slot
-                    // now belongs to `r`; the old representative was
-                    // enqueued by the union that changed its key.
-                    self.fill_key(fi, rep, rep_key);
-                    if rep_key != key {
+                    // Validate lazily: the stored representative may have
+                    // been retracted, or its key may have changed since it
+                    // was indexed. A retracted one is checked first: the
+                    // reset made old roots roots again, so its key can
+                    // match. Either way this slot now belongs to `r`; a
+                    // live old representative was enqueued by the union
+                    // that changed its key.
+                    let stale = self.dead[rep as usize] || {
+                        self.fill_key(fi, rep, rep_key);
+                        rep_key != key
+                    };
+                    if stale {
                         self.keyidx[fi].insert(key.as_slice().into(), r);
                         continue;
                     }
@@ -842,7 +1022,7 @@ impl IncrementalChase {
     /// per-column firing chains. `None` when no chased row witnesses
     /// `t`.
     pub fn explain_tuple(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
-        'rows: for r in 0..self.len() {
+        'rows: for r in self.live_rows() {
             let cells = self.row_cells(r);
             for a in x.iter() {
                 match self.sym[self.find_ro(cells[a.index()]) as usize] {
@@ -896,14 +1076,35 @@ impl IncrementalChase {
         self.stats
     }
 
-    /// Number of rows.
+    /// Number of row indices, retracted rows included (indices are
+    /// stable: a retracted row keeps its slot).
     pub fn len(&self) -> usize {
         self.tags.len()
     }
 
-    /// Whether the engine holds no rows.
+    /// Whether the engine holds no rows, live or retracted.
     pub fn is_empty(&self) -> bool {
         self.tags.is_empty()
+    }
+
+    /// Number of live (not retracted) rows.
+    pub fn live_len(&self) -> usize {
+        self.tags.len() - self.dead_count
+    }
+
+    /// Number of retracted rows still holding an index.
+    pub fn dead_len(&self) -> usize {
+        self.dead_count
+    }
+
+    /// Whether row `r` was retracted.
+    pub fn is_dead(&self, r: usize) -> bool {
+        self.dead[r]
+    }
+
+    /// Indices of the live rows, ascending.
+    fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&r| !self.dead[r])
     }
 
     /// Number of columns (universe size).
@@ -915,7 +1116,7 @@ impl IncrementalChase {
     /// rows all-constant on `x`, projected and deduplicated.
     pub fn total_projection(&self, x: AttrSet) -> Vec<Tuple> {
         let mut out = Vec::new();
-        'rows: for r in 0..self.len() {
+        'rows: for r in self.live_rows() {
             let cells = self.row_cells(r);
             let mut pairs = Vec::with_capacity(x.len());
             for a in x.iter() {
@@ -937,7 +1138,7 @@ impl IncrementalChase {
     }
 
     fn materialize_rows(&self) -> Vec<Row> {
-        (0..self.len())
+        self.live_rows()
             .map(|r| Row {
                 syms: self
                     .row_cells(r)
@@ -1351,6 +1552,38 @@ mod tests {
     }
 
     #[test]
+    fn a_retracted_row_fires_no_rule_through_a_stale_index_slot() {
+        // Rows s and r share the ndv b0 in column A. r is probed first,
+        // so A->B indexes it under key (b0); then C->A merges b0 into
+        // the constant a and the slot goes stale. Retracting r resets b0
+        // to a root of its own, so s's re-chase probes (b0) again and
+        // finds the dead r there: s must not take r's B = b1.
+        let u = idr_relation::Universe::of_chars("ABC");
+        let f = FdSet::parse(&u, "A->B, C->A");
+        let mut sym = SymbolTable::new();
+        let (a, b1, c) = (sym.intern("a"), sym.intern("b1"), sym.intern("c"));
+        let row = |syms: [ChaseSym; 3]| Row {
+            syms: syms.to_vec(),
+            tag: None,
+        };
+        let t = Tableau::from_raw(
+            3,
+            vec![
+                row([ChaseSym::Ndv(0), ChaseSym::Ndv(1), ChaseSym::Const(c)]),
+                row([ChaseSym::Const(a), ChaseSym::Ndv(2), ChaseSym::Const(c)]),
+                row([ChaseSym::Ndv(0), ChaseSym::Const(b1), ChaseSym::Ndv(3)]),
+            ],
+            4,
+        );
+        let mut e = IncrementalChase::of_tableau(&t, &f).unwrap();
+        e.run(&Guard::unlimited()).unwrap();
+        assert_eq!(e.total_projection(u.set_of("B")).len(), 1);
+        e.retract(&[2], &Guard::unlimited()).unwrap();
+        assert!(e.total_projection(u.set_of("B")).is_empty());
+        assert_eq!(e.total_projection(u.set_of("AC")).len(), 1);
+    }
+
+    #[test]
     fn scheme_tableau_with_dvs_chases_identically() {
         let u = idr_relation::Universe::of_chars("ABCD");
         let f = FdSet::parse(&u, "A->B, B->C");
@@ -1479,8 +1712,16 @@ mod tests {
             .insert_batch([(&t1, Some(0)), (&t2, Some(0))], &Guard::unlimited())
             .unwrap_err();
         assert!(matches!(err, ExecError::Inconsistent { .. }));
-        // Single rollback point: the whole batch is poisoned, callers
-        // rebuild from the pre-batch state.
+        // The combined run names no culprit: the whole batch is
+        // poisoned, and retracting every row it pushed restores the
+        // pre-batch (here: empty) fixpoint, row indices kept.
         assert!(e.failure().is_some());
+        assert_eq!(e.retract(&[0, 1], &Guard::unlimited()), Ok(0));
+        assert!(e.failure().is_none() && e.explain_rejection().is_none());
+        assert_eq!((e.len(), e.live_len(), e.dead_len()), (2, 0, 2));
+        assert!(e.to_tableau().rows().is_empty());
+        e.insert_batch([(&t1, Some(0))], &Guard::unlimited())
+            .unwrap();
+        assert_eq!(e.rows_of(&t1, Some(0)), vec![2]);
     }
 }

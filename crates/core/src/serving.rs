@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use idr_chase::{IncrementalChase, RejectionExplanation, TupleExplanation};
+use idr_chase::{ChaseStats, IncrementalChase, RejectionExplanation, TupleExplanation};
 use idr_obs::timeline::{self, OpTimeline, Phase};
 use idr_obs::{Counter, Gauge, Histogram, MetricsRegistry, ShardedLog, TraceEvent, TraceHandle};
 use idr_relation::exec::{ExecError, Guard};
@@ -105,6 +105,9 @@ pub struct Snapshot {
 struct Slot {
     chase: IncrementalChase,
     state: DatabaseState,
+    /// Chase work of the tableaux this slot's rebuilds replaced, so
+    /// [`Hub::chase_stats`] only ever grows.
+    retired: ChaseStats,
 }
 
 /// One slot's part in a write unit: what its rollback point must revert,
@@ -183,6 +186,11 @@ struct HubMetrics {
     guard_chase_steps: Arc<Gauge>,
     guard_lookups: Arc<Gauge>,
     guard_enumeration: Arc<Gauge>,
+    /// Full block-tableau rebuilds: `hub.block_rebuilds`.
+    block_rebuilds: Arc<Counter>,
+    /// Surviving rows re-chased by component-local repairs:
+    /// `hub.repaired_rows`.
+    repaired_rows: Arc<Counter>,
 }
 
 impl HubMetrics {
@@ -207,6 +215,8 @@ impl HubMetrics {
             guard_chase_steps: m.gauge("guard.chase_steps"),
             guard_lookups: m.gauge("guard.lookups"),
             guard_enumeration: m.gauge("guard.enumeration"),
+            block_rebuilds: m.counter("hub.block_rebuilds"),
+            repaired_rows: m.counter("hub.repaired_rows"),
         }
     }
 
@@ -367,7 +377,11 @@ impl<'e> Hub<'e> {
                                 .expect("tuple comes from relation i of a matching state");
                         }
                     }
-                    slots.push(Mutex::new(Slot { chase, state: sub }));
+                    slots.push(Mutex::new(Slot {
+                        chase,
+                        state: sub,
+                        retired: ChaseStats::default(),
+                    }));
                 }
                 (slots, false)
             }
@@ -375,6 +389,7 @@ impl<'e> Hub<'e> {
                 vec![Mutex::new(Slot {
                     chase: engine.chase_whole(state, guard)?,
                     state: state.clone(),
+                    retired: ChaseStats::default(),
                 })],
                 true,
             ),
@@ -486,13 +501,17 @@ impl<'e> Hub<'e> {
             .clone()
     }
 
-    /// Aggregated chase work across every block tableau.
-    pub fn chase_stats(&self) -> idr_chase::ChaseStats {
-        let mut total = idr_chase::ChaseStats::default();
+    /// Aggregated chase work across every block tableau since the hub
+    /// was built, the work of tableaux replaced by rebuilds included —
+    /// monotone, so the difference across a write is that write's work.
+    pub fn chase_stats(&self) -> ChaseStats {
+        let mut total = ChaseStats::default();
         for s in &self.shared.slots {
-            let stats = lock_slot(s).chase.stats();
-            total.passes += stats.passes;
-            total.rule_applications += stats.rule_applications;
+            let slot = lock_slot(s);
+            for stats in [slot.chase.stats(), slot.retired] {
+                total.passes += stats.passes;
+                total.rule_applications += stats.rule_applications;
+            }
         }
         total
     }
@@ -603,17 +622,19 @@ impl<'e> Hub<'e> {
     /// `verdicts` at the ops' unit positions and recording in `share`
     /// what the rollback point must revert.
     ///
-    /// Deletes edit the substate and defer the tableau rebuild (the
-    /// union-find cannot unmerge) to the next insert or the end of the
-    /// share, so a run of deletes costs one rebuild. Each maximal run of
-    /// inserts is chased into the live tableau as one combined run (see
+    /// A delete edits the substate and retracts the deleted tuple's rows
+    /// from the tableau at once, charged to the unit's guard (see
+    /// [`repair`](Hub::repair)). Each maximal run of inserts is chased
+    /// into the live tableau as one combined run (see
     /// [`chase_inserts`](Hub::chase_inserts)); only when a run of several
     /// turns inconsistent — the combined run cannot name its culprit —
     /// are its inserts re-chased one at a time, in place, to earn their
-    /// serial verdicts. An insert that meets a poisoned tableau (checked
-    /// after any pending delete rebuild) fails the unit, exactly as the
-    /// same insert would fail on its own; a delete into a poisoned block
-    /// proceeds, since it may restore consistency.
+    /// serial verdicts. An insert that meets a poisoned tableau fails the
+    /// unit, exactly as the same insert would fail on its own; a delete
+    /// into a poisoned block proceeds, since it may restore consistency.
+    /// A poisoned chase stopped part-way, so its deletes are not
+    /// retracted: the block is rebuilt once from the substate, at the
+    /// next insert run or at the end of the share, charged to the guard.
     fn apply_share(
         &self,
         slot: &mut Slot,
@@ -623,7 +644,7 @@ impl<'e> Hub<'e> {
         verdicts: &mut [bool],
         guard: &Guard,
     ) -> Result<(), ExecError> {
-        // `true` while the tableau trails the substate by a delete.
+        // `true` while a poisoned tableau trails the substate by a delete.
         let mut stale = false;
         let mut pos = 0;
         while pos < idxs.len() {
@@ -635,7 +656,14 @@ impl<'e> Hub<'e> {
                 {
                     verdicts[idxs[pos]] = true;
                     share.edits.push(idxs[pos]);
-                    stale = true;
+                    share.tableau = true;
+                    if slot.chase.failure().is_some() {
+                        stale = true;
+                    } else {
+                        let rows = slot.chase.rows_of(t, Some(*rel));
+                        assert!(!rows.is_empty(), "every substate tuple has a live row");
+                        self.repair(slot, share.si, &rows, guard)?;
+                    }
                 }
                 pos += 1;
                 continue;
@@ -647,10 +675,7 @@ impl<'e> Hub<'e> {
             let run = &idxs[pos..pos + run_len];
             pos += run_len;
             if stale {
-                // The deferred delete rebuild, charged against the
-                // unit's guard like every delete rebuild.
-                slot.chase = self.rebuilt_chase(share.si, &slot.state, guard)?;
-                share.tableau = true;
+                self.rebuild(slot, share.si, guard)?;
                 stale = false;
             }
             if let Some(f) = slot.chase.failure() {
@@ -664,8 +689,7 @@ impl<'e> Hub<'e> {
             }
         }
         if stale {
-            slot.chase = self.rebuilt_chase(share.si, &slot.state, guard)?;
-            share.tableau = true;
+            self.rebuild(slot, share.si, guard)?;
         }
         Ok(())
     }
@@ -676,10 +700,10 @@ impl<'e> Hub<'e> {
     /// identical to serial application, and monotonicity makes every
     /// serial verdict *accepted*: each tuple joins the substate, every
     /// edit that changed it recorded in `share`. An inconsistent run
-    /// accepts nothing, records its provenance in `share` and rebuilds
-    /// the tableau from the (unchanged) substate — a chase already known
-    /// to succeed, so not charged. Any other error leaves the tableau
-    /// speculative for the rollback point to rebuild.
+    /// accepts nothing, records its provenance in `share` and retracts
+    /// the rows it pushed, which restores the pre-run fixpoint — a
+    /// repair of a consistent substate, so not charged. Any other error
+    /// leaves the tableau speculative for the rollback point to rebuild.
     fn chase_inserts(
         &self,
         slot: &mut Slot,
@@ -690,6 +714,7 @@ impl<'e> Hub<'e> {
         guard: &Guard,
     ) -> Result<bool, ExecError> {
         share.tableau = true;
+        let first = slot.chase.len();
         let rows = run.iter().map(|&k| match &ops[k] {
             BatchOp::Insert { rel, t } => (t, Some(*rel)),
             BatchOp::Delete { .. } => unreachable!("runs hold inserts only"),
@@ -712,21 +737,42 @@ impl<'e> Hub<'e> {
                 Ok(true)
             }
             Err(ExecError::Inconsistent { .. }) => {
-                // Capture provenance before the rebuild wipes the chase
-                // that found the violation.
+                // Capture provenance before the repair clears the
+                // failure that names the violation.
                 share.why = slot.chase.explain_rejection().or(share.why.take());
-                slot.chase = self
-                    .rebuilt_chase(share.si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a consistent substate cannot fail");
+                let pushed: Vec<usize> = (first..slot.chase.len()).collect();
+                self.repair(slot, share.si, &pushed, &Guard::unlimited())
+                    .expect("repairing a consistent substate cannot fail");
                 Ok(false)
             }
             Err(e) => Err(e),
         }
     }
 
+    /// Retracts `rows` from the slot's tableau, re-chasing only their
+    /// component (O(component), not O(block)), and compacts with a
+    /// rebuild once tombstones outnumber live rows.
+    fn repair(
+        &self,
+        slot: &mut Slot,
+        si: usize,
+        rows: &[usize],
+        guard: &Guard,
+    ) -> Result<(), ExecError> {
+        let repaired = slot.chase.retract(rows, guard)?;
+        if let Some(hm) = &self.shared.metrics {
+            hm.repaired_rows.add(repaired as u64);
+        }
+        if slot.chase.dead_len() > slot.chase.live_len() {
+            return self.rebuild(slot, si, guard);
+        }
+        Ok(())
+    }
+
     /// The rollback point for one slot: reverts the recorded substate
     /// edits in reverse order, then rebuilds the tableau once if the
-    /// share mutated it.
+    /// share mutated it. A rebuild, not a sequence of retractions: a
+    /// failed unit may leave a run mid-chase, and the path is cold.
     fn undo_share(&self, slot: &mut Slot, share: &Share, ops: &[BatchOp]) {
         for &k in share.edits.iter().rev() {
             match &ops[k] {
@@ -743,27 +789,31 @@ impl<'e> Hub<'e> {
             }
         }
         if share.tableau {
-            slot.chase = self
-                .rebuilt_chase(share.si, &slot.state, &Guard::unlimited())
+            self.rebuild(slot, share.si, &Guard::unlimited())
                 .expect("rebuilding the pre-unit substate cannot fail");
         }
     }
 
-    /// A fresh chase of slot `si` from substate `state` (the rollback /
-    /// rebuild path), emitting into the hub's live tracer.
-    fn rebuilt_chase(
-        &self,
-        si: usize,
-        state: &DatabaseState,
-        guard: &Guard,
-    ) -> Result<IncrementalChase, ExecError> {
-        let tracer = self.engine.observability().tracer.clone();
-        if self.shared.whole {
-            self.engine.chase_whole(state, guard)
+    /// Replaces slot `si`'s tableau with a fresh chase of its substate,
+    /// emitting into the hub's live tracer — the cold path behind a
+    /// poisoned block, compaction and the rollback point. The replaced
+    /// tableau's work is kept in `retired`.
+    fn rebuild(&self, slot: &mut Slot, si: usize, guard: &Guard) -> Result<(), ExecError> {
+        let fresh = if self.shared.whole {
+            self.engine.chase_whole(&slot.state, guard)?
         } else {
             let ir = self.engine.ir().expect("block slots imply an IR partition");
-            self.engine.chase_block(ir, si, state, guard, tracer)
+            let tracer = self.engine.observability().tracer.clone();
+            self.engine
+                .chase_block(ir, si, &slot.state, guard, tracer)?
+        };
+        let old = std::mem::replace(&mut slot.chase, fresh).stats();
+        slot.retired.passes += old.passes;
+        slot.retired.rule_applications += old.rule_applications;
+        if let Some(hm) = &self.shared.metrics {
+            hm.block_rebuilds.inc();
         }
+        Ok(())
     }
 
     /// After a logged unit of `ops` ops: asks the sink whether a
@@ -877,8 +927,9 @@ impl<'e> WriteHandle<'e> {
     }
 
     /// Removes `t` from relation `i` — a write unit of one. `Ok(false)`
-    /// when absent; on `Err` (a guard trip mid-rebuild, a storage
-    /// failure) the delete did not happen and nothing was logged.
+    /// when absent; on `Err` (a guard trip during the tableau repair, a
+    /// storage failure) the delete did not happen and nothing was
+    /// logged.
     pub fn delete(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.delete_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }

@@ -6,11 +6,16 @@
 //! checks this over random schemes; these tests pin it over every
 //! scheme the paper actually names — all thirteen worked examples,
 //! accepted and rejected inserts, deletes of present and absent tuples,
-//! frames of mixed sizes — plus one 10^5-tuple bulk family.
+//! frames of mixed sizes — plus one 10^5-tuple bulk family, and a
+//! structural pin that a rejected insert or a delete repairs only the
+//! rows it touched.
+
+use std::sync::Arc;
 
 use idr_core::exec::Guard;
 use idr_core::serving::BatchOp;
-use idr_core::Engine;
+use idr_core::{Engine, Observability};
+use idr_obs::MetricsRegistry;
 use idr_relation::rng::SplitMix64;
 use idr_relation::{DatabaseState, SymbolTable, Tuple};
 use idr_workload::paper_examples;
@@ -225,6 +230,31 @@ fn batch_equals_per_op_on_a_poisoned_block() {
 }
 
 #[test]
+fn a_group_of_deletes_in_a_poisoned_block_rebuilds_it_once() {
+    // A poisoned chase stopped part-way, so its deletes are not
+    // retracted: the block is rebuilt from the substate once per group,
+    // however many deletes the group holds — here three, the middle one
+    // removing the clash.
+    let g = Guard::unlimited();
+    let base = "R1: A=a B=b1\nR1: A=a B=b2\nR1: A=x B=y\nR1: A=z B=w\nR2: C=c D=d\n";
+    let deletes = ["-R1: A=x B=y", "-R1: A=a B=b2", "-R1: A=z B=w"];
+    let (engine, state, ops) = two_block_case(base, &deletes);
+    let serial = apply_serial(&engine, &state, &ops, &g);
+    assert_eq!(serial.0, vec![true, true, true]);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let engine = engine.with_observability(Observability {
+        metrics: Some(Arc::clone(&metrics)),
+        ..Observability::none()
+    });
+    let hub = engine.hub(&state, &g).unwrap();
+    assert!(!hub.is_consistent());
+    let verdicts = hub.write_handle().apply_batch(&ops, &g).unwrap();
+    let v = hub.read_view();
+    assert_eq!((verdicts, dump(v.state()), v.is_consistent()), serial);
+    assert_eq!(metrics.counter("hub.block_rebuilds").get(), 1);
+}
+
+#[test]
 fn an_insert_into_a_poisoned_block_fails_the_whole_group() {
     // Block T2 is poisoned. The group first edits T1 (an accepted insert
     // and a delete), then inserts into T2: that insert fails exactly as
@@ -255,4 +285,121 @@ fn an_insert_into_a_poisoned_block_fails_the_whole_group() {
     ));
     // The undone T1 tableau still serves: the same T1 ops apply alone.
     assert_eq!(w.apply_batch(&ops[..2], &g).unwrap(), vec![true, true]);
+}
+
+/// A `block_chain(4,4)` hub over `tuples` bulk fragments (entity `e`'s
+/// fragments share values, distinct entities share nothing), with a
+/// metrics registry attached.
+fn block_chain_hub_case(
+    tuples: usize,
+) -> (Engine, DatabaseState, SymbolTable, Arc<MetricsRegistry>) {
+    let (_, db) = bulk_families()
+        .into_iter()
+        .find(|(n, _)| *n == "block_chain(4,4)")
+        .expect("family exists");
+    let mut sym = SymbolTable::new();
+    let mut state = DatabaseState::empty(&db);
+    for (i, t) in bulk_inserts(&db, &mut sym, tuples) {
+        state.insert(i, t).unwrap();
+    }
+    let metrics = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new(db).with_observability(Observability {
+        metrics: Some(Arc::clone(&metrics)),
+        ..Observability::none()
+    });
+    (engine, state, sym, metrics)
+}
+
+/// `t` with its value on the scheme's second attribute replaced by a
+/// fresh one — on `block_chain`, where both attributes of a relation
+/// are keys, a violation of the first attribute's key.
+fn violating(engine: &Engine, rel: usize, t: &Tuple, sym: &mut SymbolTable) -> Tuple {
+    let second = engine.scheme().scheme(rel).attrs().iter().nth(1).unwrap();
+    let fresh = sym.intern("fresh#violation");
+    Tuple::from_pairs(
+        t.iter()
+            .map(|(a, v)| (a, if a == second { fresh } else { v })),
+    )
+}
+
+#[test]
+fn a_reject_or_a_delete_re_chases_its_component_not_its_block() {
+    // ~10^4 tuples, ~2,500 rows per block. A rejected insert and a delete
+    // each touch one entity's handful of fragments, so each may add only
+    // a small constant to the chase's pass count — a block rebuild would
+    // add one pass per row of the block.
+    let g = Guard::unlimited();
+    let (engine, state, mut sym, metrics) = block_chain_hub_case(10_000);
+    let hub = engine.hub(&state, &g).unwrap();
+    let w = hub.write_handle();
+    let (rel, t) = state
+        .iter_all()
+        .find(|(i, _)| engine.scheme().scheme(*i).name() == "R1_2")
+        .map(|(i, t)| (i, t.clone()))
+        .unwrap();
+
+    let passes = hub.chase_stats().passes;
+    let bad = violating(&engine, rel, &t, &mut sym);
+    assert!(
+        !w.insert(rel, bad, &g).unwrap(),
+        "key violation is rejected"
+    );
+    let after_reject = hub.chase_stats().passes;
+    assert!(
+        after_reject - passes <= 64,
+        "a rejected insert cost {} passes",
+        after_reject - passes
+    );
+
+    assert!(w.delete(rel, &t, &g).unwrap());
+    let after_delete = hub.chase_stats().passes;
+    assert!(
+        after_delete - after_reject <= 64,
+        "a delete cost {} passes",
+        after_delete - after_reject
+    );
+    assert_eq!(metrics.counter("hub.block_rebuilds").get(), 0);
+    assert!(metrics.counter("hub.repaired_rows").get() > 0);
+    assert!(!hub.read_view().state().relation(rel).contains(&t));
+    assert!(hub.is_consistent());
+}
+
+#[test]
+fn a_group_of_deletes_and_a_reject_around_an_insert_equals_serial() {
+    // delete, insert, key-violating insert, delete — in one group, on
+    // overlapping entities: the insert puts the deleted fragment back
+    // into the component its delete just repaired, the violation targets
+    // another entity, and the last delete removes a fragment from the
+    // component the rejection was just repaired in.
+    let g = Guard::unlimited();
+    let (engine, state, mut sym, _) = block_chain_hub_case(2_000);
+    let frag = |name: &str, nth: usize| {
+        state
+            .iter_all()
+            .filter(|(i, _)| engine.scheme().scheme(*i).name() == name)
+            .nth(nth)
+            .map(|(i, t)| (i, t.clone()))
+            .unwrap()
+    };
+    let (r1, t1) = frag("R0_1", 3);
+    let (r2, t2) = frag("R0_2", 5);
+    let (r3, t3) = frag("R0_3", 5);
+    let ops = vec![
+        BatchOp::Delete {
+            rel: r1,
+            t: t1.clone(),
+        },
+        BatchOp::Insert { rel: r1, t: t1 },
+        BatchOp::Insert {
+            rel: r2,
+            t: violating(&engine, r2, &t2, &mut sym),
+        },
+        BatchOp::Delete { rel: r3, t: t3 },
+    ];
+    let serial = apply_serial(&engine, &state, &ops, &g);
+    assert_eq!(serial.0, vec![true, true, false, true]);
+    let hub = engine.hub(&state, &g).unwrap();
+    let verdicts = hub.write_handle().apply_batch(&ops, &g).unwrap();
+    let v = hub.read_view();
+    assert_eq!((verdicts, dump(v.state()), v.is_consistent()), serial);
 }

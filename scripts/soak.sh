@@ -2,13 +2,14 @@
 # Long-running fuzz soak: every oracle arm at 1000 cases.
 #
 # verify.sh runs each arm bounded (50–200 cases) as a smoke gate; this
-# script is the pre-release / overnight version. All eight arms ride six
-# CLI invocations — the default run covers arms 1–4 (parallel session,
-# serial session, naive chase, Theorem 4.1 expressions, diffed in
-# lockstep), then one invocation per later arm: crash-point recovery,
-# replication convergence, concurrent serving, group-commit crash cuts,
-# and batch-vs-serial equivalence. Each arm is seed-deterministic, so a
-# red run reproduces from the per-case seed it prints.
+# script is the pre-release / overnight version. All eight arms ride
+# seven CLI invocations — the default run covers arms 1–4 (parallel
+# session, serial session, naive chase, Theorem 4.1 expressions, diffed
+# in lockstep), then one invocation per later arm: crash-point
+# recovery, replication convergence (simulated, then over loopback
+# sockets), concurrent serving, group-commit crash cuts, and
+# batch-vs-serial equivalence. Each arm is seed-deterministic, so a red
+# run reproduces from the per-case seed it prints.
 #
 # Budget roughly tens of minutes; pass a case count to scale it
 # (default 1000).
@@ -29,6 +30,9 @@ echo "--- arm 5: crash-point recovery ---"
 
 echo "--- arm 6: replication convergence ---"
 ./target/release/idr fuzz --sync --seed "$SEED" --cases "$CASES" --out target/soak-failures
+
+echo "--- arm 6b: replication convergence over loopback sockets ---"
+./target/release/idr fuzz --sync --wire --seed "$SEED" --cases "$CASES" --out target/soak-failures
 
 echo "--- arm 7: concurrent serving ---"
 ./target/release/idr fuzz --concurrent --seed "$SEED" --cases "$CASES"
