@@ -1,10 +1,10 @@
-//! Seeded, offline smoke benchmark for the chase engines.
+//! Seeded, offline benchmark: the chase engines, the serving and sync
+//! layers, and the paper's scaling claims.
 //!
 //! Emits one JSON document on stdout comparing, per synthetic family:
 //!
-//! * **full-state chase** — naive fixpoint [`idr_chase::chase`] vs the
-//!   partition-indexed [`idr_chase::chase_fast`] vs the PR 2 indexed
-//!   worklist engine [`IncrementalChase`];
+//! * **full-state chase** — the reference fixpoint [`idr_chase::chase`]
+//!   vs the union-find engine [`IncrementalChase`];
 //! * **insert stream** — re-chasing the whole state after every insert
 //!   (the pre-engine discipline) vs hub [`WriteHandle`] inserts, which
 //!   chase only the dirty rows of the affected block.
@@ -18,7 +18,7 @@
 //! ends with a `trace_overhead` section timing the largest family's
 //! incremental chase and insert stream with a live [`EventLog`] tracer
 //! attached — `scripts/bench.sh` checks the no-op-tracer numbers against
-//! the checked-in PR 2 baseline (<5% regression).
+//! the checked-in `BENCH_pr3.json` baseline (<5% regression).
 //!
 //! Since the replication PR the document also carries a `sync` section:
 //! the same scripted insert stream spread over three simulated replicas
@@ -37,18 +37,24 @@
 //! against the classic one-fsync-per-op discipline.
 //!
 //! Since the batch PR the document adds a `chase_scale` section —
-//! absolute wall-clock of 10^5–10^6-tuple bulk streams (10^7 with
-//! `BENCH_SCALE=full`) through the in-memory hub, batch vs per-op — and
+//! absolute wall-clock of 10^5–10^6-tuple bulk streams through the
+//! in-memory hub, batch vs per-op — and
 //! a `durable_bulk_load` headline: one million tuples into a real
 //! fsync-on store, once per-op (one WAL record + one fsync each, the
 //! PR 7–8 serving discipline) and once as framed batch groups (one WAL
 //! batch + one fsync per group). `scripts/bench.sh` gates the batch
 //! path at ≥5x over per-op on that family.
+//!
+//! The `paper_claims` section ([`paper_claims`]) times the experiments
+//! of EXPERIMENTS.md §3.1–3.6: maintenance, the split witness, bounded
+//! `[X]`, Example 2, recognition and the ablations.
+
+mod paper_claims;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idr_chase::{chase, chase_fast, IncrementalChase, Tableau};
+use idr_chase::{chase, IncrementalChase, Tableau};
 use idr_core::engine::{Engine, Observability};
 use idr_core::exec::Guard;
 use idr_core::WriteHandle;
@@ -93,7 +99,6 @@ struct FamilyReport {
     tuples: usize,
     inserts: usize,
     naive_chase_ms: f64,
-    fast_chase_ms: f64,
     incremental_chase_ms: f64,
     naive_rechase_stream_ms: f64,
     hub_stream_ms: f64,
@@ -118,14 +123,10 @@ fn bench_family(name: &str, db: &DatabaseScheme, entities: usize, inserts: usize
     );
     let g = Guard::unlimited();
 
-    // Full-state chase: the same state through all three engines.
+    // Full-state chase: the same state through both engines.
     let naive_chase_ms = time_ms(|| {
         let mut t = Tableau::of_state(db, &w.state);
         chase(&mut t, kd.full(), &g).expect("consistent");
-    });
-    let fast_chase_ms = time_ms(|| {
-        let mut t = Tableau::of_state(db, &w.state);
-        chase_fast(&mut t, kd.full(), &g).expect("consistent");
     });
     let incremental_chase_ms = time_ms(|| {
         let mut ic = IncrementalChase::of_state(db, &w.state, kd.full()).expect("in capacity");
@@ -170,7 +171,6 @@ fn bench_family(name: &str, db: &DatabaseScheme, entities: usize, inserts: usize
         tuples: w.state.total_tuples(),
         inserts: w.inserts.len(),
         naive_chase_ms,
-        fast_chase_ms,
         incremental_chase_ms,
         naive_rechase_stream_ms,
         hub_stream_ms,
@@ -646,21 +646,13 @@ fn main() {
     eprintln!("benchmarking {serve_family} group-commit fsync accounting ...");
     let group = bench_group_commit(&serve_engine, &serve_db, &serve_sym, &serve_stream);
 
-    // Chase-path absolute numbers at 10^5–10^6 tuples (10^7 with
-    // BENCH_SCALE=full), then the durable bulk-load headline.
-    let full_scale = std::env::var("BENCH_SCALE").is_ok_and(|v| v == "full");
-    let mut scale_sizes = vec![100_000usize, 1_000_000];
-    if full_scale {
-        scale_sizes.push(10_000_000);
-    } else {
-        eprintln!("note: 10^7 family skipped (set BENCH_SCALE=full to include it)");
-    }
+    let claims = paper_claims::run();
+
+    // Chase-path absolute numbers at 10^5–10^6 tuples, then the durable
+    // bulk-load headline.
     let mut scale = Vec::new();
     for (fam_name, fam_db) in bulk_families() {
-        for &n in &scale_sizes {
-            if n > 1_000_000 && fam_name != "block_chain(4,4)" {
-                continue; // 10^7 only on the sharded family the gate uses
-            }
+        for n in [100_000usize, 1_000_000] {
             eprintln!("benchmarking {fam_name} bulk stream at {n} tuples ...");
             scale.push(bench_chase_scale(fam_name, &fam_db, n));
         }
@@ -676,7 +668,7 @@ fn main() {
 
     // Hand-rolled JSON: the workspace is hermetic (no serde).
     println!("{{");
-    println!("  \"bench\": \"pr9-batch-smoke\",");
+    println!("  \"bench\": \"pr16-smoke\",");
     println!("  \"seed\": {SEED},");
     println!("  \"iters\": {ITERS},");
     println!("  \"families\": [");
@@ -687,7 +679,6 @@ fn main() {
         println!("      \"tuples\": {},", r.tuples);
         println!("      \"full_chase_ms\": {{");
         println!("        \"naive\": {:.3},", r.naive_chase_ms);
-        println!("        \"fast\": {:.3},", r.fast_chase_ms);
         println!("        \"incremental\": {:.3}", r.incremental_chase_ms);
         println!("      }},");
         println!("      \"insert_stream_ms\": {{");
@@ -790,6 +781,7 @@ fn main() {
         "    \"speedup\": {:.2}",
         bulk.per_op_ms / bulk.batch_ms.max(1e-9)
     );
-    println!("  }}");
+    println!("  }},");
+    println!("  \"paper_claims\": {}", paper_claims::to_json(&claims));
     println!("}}");
 }

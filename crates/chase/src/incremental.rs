@@ -2,9 +2,8 @@
 //! hash indexes, and a dirty-row worklist.
 //!
 //! [`crate::chase`] re-scans the whole tableau after every fd-rule
-//! application and renames symbols by scanning columns; [`crate::fast`]
-//! indexes the scan but still rewrites symbol occurrences eagerly. This
-//! module replaces symbol rewriting altogether: every tableau cell holds a
+//! application and renames symbols by scanning columns. This module
+//! replaces both the scan and symbol rewriting: every tableau cell holds a
 //! *node* of a union-find structure, and an fd-rule application is a
 //! single `union` of two equivalence classes. The canonical symbol of a
 //! class is maintained under the chase's renaming precedence (a constant
@@ -23,7 +22,7 @@
 //! * **Per-fd LHS indexes**: a hash map from the *canonical node vector*
 //!   of an fd's left-hand side to a representative row, so rule partners
 //!   are found by lookup. Entries go stale as classes merge and are
-//!   validated lazily, as in [`crate::fast`]; the rows whose keys changed
+//!   validated lazily; the rows whose keys changed
 //!   were enqueued by the very union that changed them.
 //! * **Dirty-row worklist** (semi-naive evaluation): only rows whose
 //!   symbols changed since they were last examined are re-probed, so a
@@ -1152,10 +1151,10 @@ impl IncrementalChase {
 }
 
 /// `CHASE_F(T)` through the incremental engine — a drop-in replacement
-/// for [`chase`](crate::chase)/[`chase_fast`](crate::chase_fast) with the
-/// same contract: the tableau is chased in place, one chase step is
-/// charged per rule application, and on success the result is identical
-/// to the reference engine's.
+/// for the reference [`chase`](crate::chase) with the same contract: the
+/// tableau is chased in place, one chase step is charged per rule
+/// application, and on success the result is identical to the reference
+/// engine's.
 pub fn chase_incremental(
     t: &mut Tableau,
     fds: &FdSet,

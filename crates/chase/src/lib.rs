@@ -10,9 +10,9 @@
 //!   with origin tags (the `TAG` column of the paper's figures).
 //! * [`chase`] — exhaustive fd-rule application (`CHASE_F(T)`, \[MMS]),
 //!   returning the chased tableau or detecting an inconsistency.
-//! * [`chase_fast`] — the indexed worklist engine; [`IncrementalChase`] —
-//!   the union-find engine with incremental insert support that backs the
-//!   `Engine` facade.
+//! * [`IncrementalChase`] — the union-find engine with incremental insert
+//!   and retract support that backs the `Engine` facade; [`chase`] is its
+//!   oracle.
 //! * State tableaux `T_r` ([`Tableau::of_state`]) and scheme tableaux
 //!   `T_R` ([`Tableau::of_scheme`]).
 //! * The weak instance model (§2.5): [`is_consistent`],
@@ -31,14 +31,12 @@
 #![warn(missing_docs)]
 mod chase_engine;
 pub mod equivalence;
-pub mod fast;
 pub mod incremental;
 pub mod lossless;
 mod tableau;
 mod weak;
 
 pub use chase_engine::{chase, chase_traced, ChaseOutcome, ChaseStats, Inconsistent};
-pub use fast::{chase_fast, chase_fast_traced};
 pub use incremental::{
     chase_incremental, CellTrace, FiringInfo, IncrementalChase, RejectionExplanation,
     TupleExplanation,

@@ -173,7 +173,7 @@ fn chase_result_independent_of_fd_order() {
 }
 
 #[test]
-fn fast_chase_agrees_with_reference() {
+fn incremental_chase_agrees_with_reference() {
     let mut master = SplitMix64::new(0xD004);
     for case in 0..CASES {
         let mut rng = master.split();
@@ -183,23 +183,12 @@ fn fast_chase_agrees_with_reference() {
         let g = Guard::unlimited();
         let mut t1 = Tableau::of_state(&scheme, &state);
         let mut t2 = t1.clone();
-        let mut t3 = t1.clone();
         let r1 = chase(&mut t1, kd.full(), &g);
-        let r2 = idr_chase::fast::chase_fast(&mut t2, kd.full(), &g);
-        let r3 = idr_chase::chase_incremental(&mut t3, kd.full(), &g);
+        let r2 = idr_chase::chase_incremental(&mut t2, kd.full(), &g);
         assert_eq!(r1.is_ok(), r2.is_ok(), "case {case}");
-        assert_eq!(r1.is_ok(), r3.is_ok(), "case {case}");
         if r1.is_ok() {
             // The incremental engine is identical, not merely equivalent.
-            assert_eq!(t1, t3, "case {case}");
-            let all = scheme.universe().all();
-            assert_eq!(t1.total_projection(all), t2.total_projection(all), "case {case}");
-            // Also compare every single-attribute projection (partial
-            // derivations must match too).
-            for a in scheme.universe().iter() {
-                let x = idr_relation::AttrSet::singleton(a);
-                assert_eq!(t1.total_projection(x), t2.total_projection(x), "case {case}");
-            }
+            assert_eq!(t1, t2, "case {case}");
         }
     }
 }

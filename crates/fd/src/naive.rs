@@ -1,9 +1,7 @@
 //! Naive reference implementations kept for differential testing and for
 //! the data-structure ablation benchmark (DESIGN.md §7.1).
 
-use std::collections::BTreeSet;
-
-use idr_relation::{AttrSet, Attribute};
+use idr_relation::AttrSet;
 
 use crate::fd::FdSet;
 
@@ -25,25 +23,6 @@ pub fn closure_naive(fds: &FdSet, x: AttrSet) -> AttrSet {
     }
 }
 
-/// The same quadratic closure over `BTreeSet<Attribute>` instead of the
-/// bitset — the "what if we had used ordinary collections" ablation arm.
-pub fn closure_btreeset(fds: &FdSet, x: &BTreeSet<Attribute>) -> BTreeSet<Attribute> {
-    let mut closure = x.clone();
-    loop {
-        let mut changed = false;
-        for fd in fds.fds() {
-            if fd.lhs.iter().all(|a| closure.contains(&a)) {
-                for a in fd.rhs.iter() {
-                    changed |= closure.insert(a);
-                }
-            }
-        }
-        if !changed {
-            return closure;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,15 +36,5 @@ mod tests {
             let x = u.set_of(start);
             assert_eq!(closure_naive(&f, x), f.closure(x), "start {start}");
         }
-    }
-
-    #[test]
-    fn btreeset_matches_bitset() {
-        let u = Universe::of_chars("ABCD");
-        let f = FdSet::parse(&u, "A->B, B->C, C->D");
-        let x: BTreeSet<Attribute> = u.set_of("A").iter().collect();
-        let c = closure_btreeset(&f, &x);
-        let expected: BTreeSet<Attribute> = f.closure(u.set_of("A")).iter().collect();
-        assert_eq!(c, expected);
     }
 }

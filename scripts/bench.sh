@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Seeded offline smoke benchmark (no criterion, no network): builds the
-# tier-1-safe `bench` package, runs it on the synthetic block-chain
-# families, writes the output JSON (default BENCH_pr7.json, override with
-# the first argument), and asserts:
+# Seeded offline benchmark (no registry dependencies, no network): builds
+# the `bench` package (crates/bench-smoke), runs it, writes the output
+# JSON (default BENCH_pr16.json, override with the first argument), and
+# asserts:
 #
 #   * the PR 2 headline — the indexed incremental engine beats the naive
 #     whole-state chase on the largest family, full chase and insert
 #     stream alike;
 #   * the PR 3 headline — the dormant (no-op-tracer) instrumentation
 #     costs < 5% on the largest family against the checked-in
-#     BENCH_pr2.json baseline (plus a small absolute epsilon so sub-ms
+#     BENCH_pr3.json baseline (plus a small absolute epsilon so sub-ms
 #     timer noise cannot fail the build);
 #   * the PR 6 headline — three replicas running the largest family's
 #     insert stream converge under all three fault plans (clean, lossy,
@@ -27,14 +27,17 @@
 #   * the trajectory gate — the 4-client serving throughput of this
 #     build must stay within a generous tolerance of the checked-in
 #     BENCH_pr8.json, so neither the batch plumbing nor new
-#     instrumentation can silently halve the serving path.
+#     instrumentation can silently halve the serving path;
+#   * the paper's scaling claims (EXPERIMENTS.md §3.1–3.6, the
+#     `paper_claims` section), each gated by its shape: what stays flat,
+#     what grows, who wins and whether the gap widens.
 #
 # The durable bulk-load section fsyncs one million per-op commits, so a
 # full run takes a few minutes on ordinary disks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_pr9.json}"
+OUT="${1:-BENCH_pr16.json}"
 
 cargo build -p bench --release
 ./target/release/bench-smoke > "$OUT"
@@ -76,17 +79,24 @@ print(f"trace overhead on {oh['family']}: "
 # medians — the replication layer must stay out of the single-node path.
 #
 # The baseline's milliseconds were recorded on a different day's machine
-# conditions, so the budget is first corrected for environment drift
-# using the fast whole-state chase as the same-run anchor: chase_fast is
-# library code with no instrumentation sites, so its time moves with the
-# machine but never with dormant-tracer cost. (Observed in practice: the
-# uninstrumented incremental chase drifts ~10% between sessions while
-# the noop/fast ratio stays flat.)
+# conditions, so the budget is first corrected for environment drift,
+# anchored on the reference chase timed in the same run. `chase` is the
+# oracle, not on the serving path, and its dormant trace sites predate
+# the BENCH_pr3.json baseline, so its time moves with the machine but not
+# with instrumentation added to the engines the gate watches. Two
+# families give two estimates of the drift (the smallest family's
+# sub-millisecond chase is too noisy to use). A burst of interference
+# only ever lengthens a timing, so the smaller estimate is the better
+# one, and it never loosens the budget beyond the largest family's own
+# anchor.
 if os.path.exists("BENCH_pr3.json"):
     with open("BENCH_pr3.json") as f:
         base = json.load(f)
-    drift = (largest["full_chase_ms"]["fast"]
-             / base["families"][-1]["full_chase_ms"]["fast"])
+    pairs = list(zip(doc["families"], base["families"]))[1:]
+    for fam, b in pairs:
+        assert fam["name"] == b["name"], "families must match the PR3 baseline"
+    drift = min(fam["full_chase_ms"]["naive"] / b["full_chase_ms"]["naive"]
+                for fam, b in pairs)
     base_noop = base["trace_overhead"]["incremental_noop_ms"]
     budget = base_noop * drift * 1.05 + 0.15
     got = oh["incremental_noop_ms"]
@@ -187,4 +197,89 @@ assert bl["batch_fsyncs"] <= bl["tuples"] // bl["group_size"] + 1, \
 assert bl["speedup"] >= 5.0, \
     f"batch bulk load must beat the per-op loop by >=5x (got {bl['speedup']:.1f}x)"
 print("OK: batched bulk load beats the per-op serving discipline by >=5x")
+
+# Paper claims (EXPERIMENTS.md §3.1-3.6): every claim is gated by its
+# shape, never by a millisecond ceiling. Thresholds carry a margin over
+# four runs on a 2-vCPU VM (observed range in brackets):
+#   FLAT    max/min over the axis <= 3.0   [Alg. 5 1.01-1.84, Alg. 2 1.02-1.08]
+#   GROWS   last/first >= the x ratio, i.e. at least linear [re-chase 14.6-18.5
+#           at x4, EX2 134-315 at x16]; split-witness chase >= x ratio / 4 [15.0-15.4 at x16]
+#   WIDENS  speedup at the largest size >= 2x the smallest's
+#           [Thm 4.1 4.8-8.3x, Alg. 1 3.2-4.2x]
+#   POLY    log-log slope first->last <= 3.0 [recognition 1.78-2.16, split test 1.41-1.89]
+#   WINS    the faster arm at every size [naive/indexed closure 0.10-0.19; gamma
+#           reduction/search on chains 0.15-0.34]. The reduction's lead over the
+#           search also widens with n, but by only 1.13-1.82x, too little to gate.
+import math
+pc = doc["paper_claims"]
+
+def axis(claim):
+    return next(iter(pc[claim].values()))
+
+def show(claim):
+    c = pc[claim]
+    keys = list(c)
+    print(f"paper_claims {claim} ({keys[0]} {c[keys[0]]}): " +
+          "; ".join(f"{k} {c[k]}" for k in keys[1:]))
+
+def flat(claim, series, bound=3.0):
+    ys = pc[claim][series]
+    assert max(ys) / min(ys) <= bound, \
+        f"{claim}.{series} should be flat (max/min <= {bound}): {ys}"
+
+def grows(claim, series, factor):
+    ys = pc[claim][series]
+    assert ys[-1] / ys[0] >= factor, \
+        f"{claim}.{series} should grow >= {factor:.0f}x over the axis: {ys}"
+
+def wins_and_widens(claim, fast, slow, widen):
+    a, b = pc[claim][fast], pc[claim][slow]
+    gap = [y / x for x, y in zip(a, b)]
+    assert all(g > 1 for g in gap), f"{claim}: {fast} must beat {slow} at every size: {gap}"
+    assert gap[-1] >= widen * gap[0], \
+        f"{claim}: the {fast}/{slow} gap must widen >= {widen}x: {gap}"
+
+def polynomial(claim, series, degree=3.0):
+    xs, ys = axis(claim), pc[claim][series]
+    slope = math.log(ys[-1] / ys[0]) / math.log(xs[-1] / xs[0])
+    assert slope <= degree, f"{claim}.{series}: log-log slope {slope:.2f} > {degree}"
+    return slope
+
+for claim in pc:
+    show(claim)
+
+x = axis("maintenance")
+flat("maintenance", "algorithm5_us")
+flat("maintenance", "algorithm2_us")
+x_rechase = axis("rechase")
+grows("rechase", "rechase_ms", x_rechase[-1] / x_rechase[0])
+print(f"OK: Alg. 5 and Alg. 2 stay flat from {x[0]} to {x[-1]} entities "
+      f"while the re-chase baseline grows (Thm 3.3, Thm 3.2)")
+
+x = axis("split_witness")
+flat("split_witness", "algorithm2_us")
+grows("split_witness", "chase_us", x[-1] / x[0] / 4)
+print("OK: on the Thm 3.4 split witness the chase decision grows, Alg. 2 stays flat")
+
+wins_and_widens("total_projection", "expression_ms", "chase_ms", 2.0)
+print("OK: the Thm 4.1 expression beats chase-and-project at every size, gap widening")
+
+x = axis("example2")
+grows("example2", "decision_ms", x[-1] / x[0])
+print("OK: the Example 2 decision grows at least linearly with the chain")
+
+slopes = [polynomial(c, s) for c, s in [("recognition_cycle", "recognize_us"),
+                                        ("recognition_block_chain", "recognize_us"),
+                                        ("split_test", "split_free_us")]]
+print("OK: recognition and the split test stay polynomial (log-log slopes "
+      + ", ".join(f"{v:.2f}" for v in slopes) + ", Cor 5.4)")
+
+fc = pc["fd_closure"]
+assert all(n < i for n, i in zip(fc["naive_us"], fc["indexed_us"])), \
+    f"fd_closure: the naive scan should beat the indexed closure on chain fds: {fc}"
+wins_and_widens("representative_instance", "algorithm1_ms", "chase_ms", 2.0)
+ac = pc["acyclicity"]
+assert all(r < s for r, s in zip(ac["reduction_chain_us"], ac["cycle_search_chain_us"])), \
+    f"acyclicity: the gamma reduction should beat the cycle search on chains: {ac}"
+print("OK: ablations keep their shape (closure, Alg. 1 vs chase, gamma reduction vs search)")
 EOF

@@ -16,9 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # Markdown doc gate: every intra-repo reference in the tracked docs —
-# markdown links to .md files, and backticked repo paths — must resolve
-# to a file that exists, so specs like docs/WIRE.md cannot silently
-# drift away from the pages that cite them.
+# markdown links to .md files, backticked repo paths, and backticked
+# top-level file names such as `BENCH_pr3.json` — must resolve to a file
+# that exists, so specs like docs/WIRE.md and the benchmark outputs that
+# EXPERIMENTS.md quotes cannot silently drift away from the pages that
+# cite them.
 docs_ok=1
 while read -r ref; do
   ref="${ref%%#*}"
@@ -32,6 +34,8 @@ done < <(
       README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md |
       sed -E 's/^\]\(//; s/\)$//'
     grep -ohE '`(docs|examples|scripts|tests|src|crates)/[A-Za-z0-9_./-]+`' \
+      README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md | tr -d '`'
+    grep -ohE '`[A-Za-z0-9_.-]+\.(json|txt|toml|sh|py)`' \
       README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md | tr -d '`'
   } | sort -u
 )

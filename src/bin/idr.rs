@@ -1723,7 +1723,9 @@ fn slow_op_json(verb: &str, op: usize, threshold_us: u64, tl: &obs::OpTimeline) 
 /// group converges), `query A B` answers from the materialised state,
 /// `.digest` prints the digest vector (byte-identical across
 /// converged peers), `.state` prints the sorted state fixture lines,
-/// `quit` or EOF shuts down. The bound listen address is written to
+/// `quit` or EOF shuts down. As in plain serve, unreadable stdin (say,
+/// a non-UTF-8 line) prints an `error: stdin:` line, stops reading and
+/// exits [`EXIT_FAULT`]. The bound listen address is written to
 /// `DIR/listen.addr` so scripts can use `--listen 127.0.0.1:0`.
 ///
 /// A handshake rejection from a peer — wrong protocol version, wrong
@@ -1846,7 +1848,7 @@ fn peer_serve_cmd(
             left -= step;
         }
     };
-    std::thread::scope(|s| {
+    let stdin_faulted = std::thread::scope(|s| {
         if let Some(l) = &listener {
             let replica = &replica;
             let guard = &guard;
@@ -1962,10 +1964,15 @@ fn peer_serve_cmd(
         }
         // Stdin drives the node from the main thread.
         let stdin = std::io::stdin();
+        let mut stdin_faulted = false;
         for line in stdin.lock().lines() {
             let line = match line {
                 Ok(l) => l,
-                Err(_) => break,
+                Err(e) => {
+                    println!("{}", stdin_error(&e));
+                    stdin_faulted = true;
+                    break;
+                }
             };
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -2003,10 +2010,8 @@ fn peer_serve_cmd(
                     }
                 }
                 "query" => {
-                    let attrs: Vec<String> =
-                        tail.split_whitespace().map(str::to_string).collect();
-                    match parse_attrs(&engine, &attrs) {
-                        Err(e) => println!("error: {e}"),
+                    match query_attrs(&engine, tail) {
+                        Err(e) => println!("{e}"),
                         Ok(x) => {
                             let r = replica.lock().unwrap_or_else(|p| p.into_inner());
                             match r.answer(x, &guard) {
@@ -2049,6 +2054,7 @@ fn peer_serve_cmd(
             let _ = std::io::stdout().flush();
         }
         shutdown.store(true, Ordering::Relaxed);
+        stdin_faulted
     });
     if let Some((code, msg)) = fatal.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return fail(code, &msg);
@@ -2065,7 +2071,9 @@ fn peer_serve_cmd(
         r.digest().render(),
         if consistent { "consistent" } else { "inconsistent" }
     );
-    if consistent {
+    if stdin_faulted {
+        ExitCode::from(EXIT_FAULT)
+    } else if consistent {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_INCONSISTENT)
@@ -2271,7 +2279,7 @@ fn serve_cmd(
             let line = match line {
                 Ok(l) => l,
                 Err(e) => {
-                    let _ = res_tx.send((ops, format!("error: stdin: {e}"), Some(EXIT_FAULT)));
+                    let _ = res_tx.send((ops, stdin_error(&e), Some(EXIT_FAULT)));
                     break;
                 }
             };
@@ -2354,9 +2362,7 @@ fn serve_cmd(
                     }
                 },
                 "query" => {
-                    let attrs: Vec<String> =
-                        tail.split_whitespace().map(str::to_string).collect();
-                    let body = serve_query(&hub, &engine, &attrs, &symbols, &guard);
+                    let body = serve_query(&hub, &engine, tail, &symbols, &guard);
                     let _ = res_tx.send((op, body.0, body.1));
                 }
                 ".stats" => {
@@ -2407,21 +2413,35 @@ fn serve_cmd(
     }
 }
 
+/// The response both serve loops give a stdin read error (non-UTF-8
+/// input, say). Reading stops there and the process exits
+/// [`EXIT_FAULT`].
+fn stdin_error(e: &std::io::Error) -> String {
+    format!("error: stdin: {e}")
+}
+
+/// Parses the tail of a `query A B` op. Both serve loops answer an empty
+/// or unknown attribute list with the `error:` line returned here.
+fn query_attrs(engine: &Engine, tail: &str) -> Result<AttrSet, String> {
+    let attrs: Vec<String> = tail.split_whitespace().map(str::to_string).collect();
+    if attrs.is_empty() {
+        return Err("error: query needs at least one attribute".to_string());
+    }
+    parse_attrs(engine, &attrs).map_err(|e| format!("error: {e}"))
+}
+
 /// Runs one `query A B` op against a fresh epoch-stamped snapshot and
 /// renders the tagged response body (never blocks the writer lanes).
 fn serve_query(
     hub: &Hub<'_>,
     engine: &Engine,
-    attrs: &[String],
+    tail: &str,
     symbols: &Arc<std::sync::Mutex<SymbolTable>>,
     guard: &Guard,
 ) -> (String, Option<u8>) {
-    if attrs.is_empty() {
-        return ("error: query needs at least one attribute".to_string(), None);
-    }
-    let x = match parse_attrs(engine, attrs) {
+    let x = match query_attrs(engine, tail) {
         Ok(x) => x,
-        Err(e) => return (format!("error: {e}"), None),
+        Err(e) => return (e, None),
     };
     let view = hub.read_view();
     let u = engine.scheme().universe();

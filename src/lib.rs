@@ -99,9 +99,7 @@ pub mod exec {
 /// unbounded run). The pre-0.2 `*_bounded` twins were removed in 0.5 —
 /// calls migrate by dropping the suffix and passing a `Guard`.
 pub mod prelude {
-    pub use idr_chase::{
-        chase, chase_fast, is_consistent, representative_instance, total_projection,
-    };
+    pub use idr_chase::{chase, is_consistent, representative_instance, total_projection};
     pub use idr_core::classify::{classify, Classification};
     pub use idr_core::durability::{DurabilitySink, DurableOp};
     pub use idr_core::engine::{Engine, Observability};

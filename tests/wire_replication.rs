@@ -272,3 +272,46 @@ scheme R2: B C  keys B
     a.read_until("digest ");
     a.quit_ok();
 }
+
+/// Peer mode answers a `query` with no attributes the way plain serve
+/// does, with an `error:` line, and keeps serving.
+#[test]
+fn peer_mode_rejects_an_empty_query() {
+    let dir = init_dir("wire-empty-query", UNIVERSITY);
+    let mut a = Peer::spawn(
+        dir.path(),
+        &["--listen", "127.0.0.1:0", "--origin", "0", "--origins", "2"],
+    );
+    a.read_until("listening on ");
+    a.send("query");
+    a.send(".digest");
+    let mut line = String::new();
+    a.stdout.read_line(&mut line).expect("peer stdout");
+    assert_eq!(line.trim_end(), "error: query needs at least one attribute");
+    a.read_until("digest ");
+    a.quit_ok();
+}
+
+/// A non-UTF-8 stdin line in peer mode is a fault, as in plain serve:
+/// an `error: stdin:` line, no later line served, exit code 7.
+#[test]
+fn peer_mode_fails_on_non_utf8_stdin() {
+    let dir = init_dir("wire-bad-stdin", UNIVERSITY);
+    let mut a = Peer::spawn(
+        dir.path(),
+        &["--listen", "127.0.0.1:0", "--origin", "0", "--origins", "2"],
+    );
+    a.read_until("listening on ");
+    a.stdin.write_all(b"insert R1: H=\xff R=r1 C=c1\n").expect("peer stdin");
+    a.send("insert R1: H=h1 R=r1 C=c1");
+    drop(a.stdin);
+    let status = a.child.wait().expect("peer exit");
+    let mut out = String::new();
+    std::io::Read::read_to_string(&mut a.stdout, &mut out).expect("peer stdout");
+    assert!(
+        out.contains("error: stdin: stream did not contain valid UTF-8"),
+        "stdout: {out}"
+    );
+    assert!(!out.contains("journalled"), "a line after the fault was served: {out}");
+    assert_eq!(status.code(), Some(7), "stdout: {out}");
+}
