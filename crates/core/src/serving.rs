@@ -371,12 +371,7 @@ impl<'e> Hub<'e> {
                     // straight at the hub's sink.
                     chase.retarget_trace(obs.tracer.clone());
                     let mut sub = DatabaseState::empty(engine.scheme());
-                    for &i in &ir.partition[b] {
-                        for t in state.relation(i).iter() {
-                            sub.insert(i, t.clone())
-                                .expect("tuple comes from relation i of a matching state");
-                        }
-                    }
+                    copy_owned(engine, false, b, state, &mut sub);
                     slots.push(Mutex::new(Slot {
                         chase,
                         state: sub,
@@ -837,12 +832,8 @@ impl<'e> Hub<'e> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let slots: Vec<_> = self.shared.slots.iter().map(lock_slot).collect();
         let mut state = DatabaseState::empty(self.engine.scheme());
-        for s in &slots {
-            for (i, t) in s.state.iter_all() {
-                state
-                    .insert(i, t.clone())
-                    .expect("slot substates are projections of one scheme-valid state");
-            }
+        for (si, s) in slots.iter().enumerate() {
+            copy_owned(self.engine, self.shared.whole, si, &s.state, &mut state);
         }
         sink.write_snapshot(&state)
     }
@@ -1108,10 +1099,10 @@ fn project_ir(
 ) -> Result<(ProjectionResult, &'static str), ExecError> {
     Ok(match engine.total_projection_expr(x, guard)? {
         Some(expr) => {
-            let rel = expr
-                .eval(engine.scheme(), state)
+            let tuples = expr
+                .eval_sorted(state)
                 .expect("cached projection expressions are well-formed");
-            (Ok(Some(rel.sorted_tuples())), "expr")
+            (Ok(Some(tuples)), "expr")
         }
         None => (
             idr_chase::total_projection(
@@ -1157,6 +1148,30 @@ fn emit_query(
     }
 }
 
+/// Copies every relation slot `si` owns from `src` into `dst`, each one
+/// whole — how the hub carves its slots out of a state and assembles a
+/// published or durable cut from them. A whole-relation clone keeps each
+/// relation's insertion order, which `render`, the `state_lines` oracle
+/// and the fingerprints compare.
+fn copy_owned(
+    engine: &Engine,
+    whole: bool,
+    si: usize,
+    src: &DatabaseState,
+    dst: &mut DatabaseState,
+) {
+    let copy = |i| {
+        dst.copy_relation(i, src)
+            .expect("hub states share the engine's scheme")
+    };
+    if whole {
+        (0..engine.scheme().len()).for_each(copy);
+    } else {
+        let ir = engine.ir().expect("block slots imply an IR partition");
+        ir.partition[si].iter().copied().for_each(copy);
+    }
+}
+
 /// Returns the current snapshot, republishing first when writers dirtied
 /// the state. The stale flag is cleared *before* the slot scan: a writer
 /// landing mid-scan re-marks it and the next view republishes — at worst
@@ -1178,14 +1193,10 @@ fn publish_snapshot(engine: &Engine, shared: &HubShared) -> Arc<Snapshot> {
         let t0 = Instant::now();
         let mut state = DatabaseState::empty(engine.scheme());
         let mut consistent = true;
-        for s in &shared.slots {
+        for (si, s) in shared.slots.iter().enumerate() {
             let slot = lock_slot(s);
             consistent &= slot.chase.failure().is_none();
-            for (i, t) in slot.state.iter_all() {
-                state
-                    .insert(i, t.clone())
-                    .expect("slot substates are projections of one scheme-valid state");
-            }
+            copy_owned(engine, shared.whole, si, &slot.state, &mut state);
         }
         let epoch = shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let tuples = state.total_tuples();
@@ -1498,5 +1509,63 @@ mod tests {
         ]);
         assert!(hub.write_handle().insert(0, t, &g).unwrap());
         assert_eq!(hub.read_view().state().total_tuples(), 3);
+    }
+
+    /// The old publish, tuple by tuple: the oracle for the whole-relation
+    /// copies.
+    fn insert_loop_cut(hub: &Hub<'_>) -> DatabaseState {
+        let mut state = DatabaseState::empty(hub.engine.scheme());
+        for s in &hub.shared.slots {
+            for (i, t) in lock_slot(s).state.iter_all() {
+                state.insert(i, t.clone()).unwrap();
+            }
+        }
+        state
+    }
+
+    #[test]
+    fn published_views_equal_the_slot_substates_in_insertion_order() {
+        let db = block_chain_scheme(4, 3);
+        let engine = Engine::new(db.clone());
+        let g = Guard::unlimited();
+        let mut sym = SymbolTable::new();
+        // Entity `e`'s fragment of relation `i`, entities in descending
+        // order so insertion order is not sorted order.
+        let fragment = |sym: &mut SymbolTable, i: usize, e: usize| {
+            Tuple::from_pairs(
+                db.scheme(i)
+                    .attrs()
+                    .iter()
+                    .map(|a| (a, sym.intern(&format!("{}_{e}", db.universe().name(a)))))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let mut state = DatabaseState::empty(&db);
+        for e in (0..4).rev() {
+            for i in 0..db.len() {
+                state.insert(i, fragment(&mut sym, i, e)).unwrap();
+            }
+        }
+        let hub = engine.hub(&state, &g).unwrap();
+        let renders = |s: &DatabaseState, sym: &SymbolTable| s.render(&db, sym);
+        let want = renders(&state, &sym);
+        assert_eq!(renders(&insert_loop_cut(&hub), &sym), want, "carved slots");
+        assert_eq!(renders(hub.read_view().state(), &sym), want, "epoch 0");
+
+        let w = hub.write_handle();
+        for i in 0..db.len() {
+            assert!(w.insert(i, fragment(&mut sym, i, 9 - i % 3), &g).unwrap());
+            if i % 2 == 0 {
+                assert!(w.delete(i, &fragment(&mut sym, i, 2), &g).unwrap());
+            }
+        }
+        let view = hub.read_view();
+        assert!(view.epoch() > 0);
+        let want = insert_loop_cut(&hub);
+        for (i, (got, want)) in view.state().relations().iter().zip(want.relations()).enumerate() {
+            let order = |r: &idr_relation::Relation| r.iter().cloned().collect::<Vec<_>>();
+            assert_eq!(order(got), order(want), "relation {i}");
+        }
+        assert_eq!(renders(view.state(), &sym), renders(&want, &sym));
     }
 }

@@ -6,7 +6,7 @@
 //! AST for exactly that fragment — relation references, natural join,
 //! projection, conjunctive selection, union — plus constructors for the
 //! paper's *extension joins* and *sequential joins*, and an evaluator over
-//! [`DatabaseState`]s.
+//! [`DatabaseState`]s that hash-joins borrowed relations.
 
 use std::fmt;
 
@@ -16,6 +16,7 @@ use crate::relation::Relation;
 use crate::schema::DatabaseScheme;
 use crate::state::DatabaseState;
 use crate::symbol::Value;
+use crate::tuple::Tuple;
 use crate::universe::Attribute;
 
 /// A relational-algebra expression over a database scheme.
@@ -117,29 +118,34 @@ impl Expr {
         }
     }
 
-    /// Evaluates the expression over a database state.
-    #[allow(clippy::only_used_in_recursion)]
+    /// Evaluates the expression over a database state. Base relations
+    /// are read in place; see [`Expr::eval_sorted`] for the answer as a
+    /// sorted `Vec` without building a [`Relation`].
+    ///
+    /// # Errors
+    ///
+    /// [`RelationError::UnknownRelation`], [`RelationError::ProjectionNotContained`],
+    /// [`RelationError::SelectionNotContained`] or
+    /// [`RelationError::UnionSchemeMismatch`] for a malformed expression,
+    /// the first one met evaluating inputs left to right.
     pub fn eval(
         &self,
-        scheme: &DatabaseScheme,
+        _scheme: &DatabaseScheme,
         state: &DatabaseState,
     ) -> Result<Relation, RelationError> {
-        match self {
-            Expr::Rel(i) => {
-                if *i >= state.relations().len() {
-                    return Err(RelationError::UnknownRelation(*i));
-                }
-                Ok(state.relation(*i).clone())
-            }
-            Expr::Project(x, e) => e.eval(scheme, state)?.project(*x),
-            Expr::Select(formula, e) => e.eval(scheme, state)?.select(formula),
-            Expr::Join(l, r) => Ok(l.eval(scheme, state)?.join(&r.eval(scheme, state)?)),
-            Expr::Union(l, r) => {
-                let lv = l.eval(scheme, state)?;
-                let rv = r.eval(scheme, state)?;
-                lv.union(&rv)
-            }
-        }
+        let (attrs, tuples) = crate::eval::eval_sorted(self, state)?;
+        Relation::from_tuples(attrs, tuples)
+    }
+
+    /// Evaluates the expression over a database state into its distinct
+    /// tuples in ascending order — what [`Relation::sorted_tuples`] of
+    /// [`Expr::eval`]'s result would give, without the relation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Expr::eval`].
+    pub fn eval_sorted(&self, state: &DatabaseState) -> Result<Vec<Tuple>, RelationError> {
+        crate::eval::eval_sorted(self, state).map(|(_, tuples)| tuples)
     }
 
     /// Counts base-relation references — a proxy for expression size used
@@ -280,6 +286,129 @@ mod tests {
         let e = Expr::union_all(vec![Expr::rel(0), Expr::rel(0)]);
         let r = e.eval(&scheme, &state).unwrap();
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn join_matches_on_common_attributes_either_way_round() {
+        let (scheme, mut sym, state) = setup();
+        let lr = Expr::rel(0).join(Expr::rel(1)).eval_sorted(&state).unwrap();
+        let rl = Expr::rel(1).join(Expr::rel(0)).eval_sorted(&state).unwrap();
+        assert_eq!(lr, rl);
+        let u = scheme.universe();
+        let want = Tuple::from_pairs([
+            (u.attr_of("A"), sym.intern("a1")),
+            (u.attr_of("B"), sym.intern("b1")),
+            (u.attr_of("C"), sym.intern("c1")),
+        ]);
+        assert_eq!(lr, vec![want]);
+    }
+
+    #[test]
+    fn join_without_common_attributes_is_cartesian() {
+        let scheme = SchemeBuilder::new("AB")
+            .scheme("R1", "A", ["A"])
+            .scheme("R2", "B", ["B"])
+            .build()
+            .unwrap();
+        let mut sym = SymbolTable::new();
+        let state = state_of(
+            &scheme,
+            &mut sym,
+            &[
+                ("R1", &[("A", "a1")]),
+                ("R1", &[("A", "a2")]),
+                ("R2", &[("B", "b1")]),
+                ("R2", &[("B", "b2")]),
+            ],
+        )
+        .unwrap();
+        let r = Expr::rel(0)
+            .join(Expr::rel(1))
+            .eval(&scheme, &state)
+            .unwrap();
+        assert_eq!(r.attrs(), scheme.universe().set_of("AB"));
+        assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn projection_drops_duplicates_and_union_is_idempotent() {
+        let (scheme, mut sym, mut state) = setup();
+        let u = scheme.universe();
+        // A second R1 tuple with B = b1: π_B(R1) has two values, not three.
+        let t = Tuple::from_pairs([
+            (u.attr_of("A"), sym.intern("a3")),
+            (u.attr_of("B"), sym.intern("b1")),
+        ]);
+        state.insert(0, t).unwrap();
+        let p = Expr::rel(0).project(u.set_of("B"));
+        let once = p.eval_sorted(&state).unwrap();
+        assert_eq!(once.len(), 2);
+        assert_eq!(p.clone().union(p).eval_sorted(&state).unwrap(), once);
+        // Onto no attribute: the empty tuple, or nothing for an empty input.
+        let unit = Expr::rel(0).project(AttrSet::empty()).eval_sorted(&state);
+        assert_eq!(unit.unwrap(), vec![Tuple::unit()]);
+        let none = Expr::rel(1)
+            .select(vec![(u.attr_of("B"), sym.intern("b2"))])
+            .project(AttrSet::empty())
+            .eval(&scheme, &state)
+            .unwrap();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn selection_filters_every_conjunct() {
+        let (scheme, mut sym, state) = setup();
+        let u = scheme.universe();
+        let (a, b) = (u.attr_of("A"), u.attr_of("B"));
+        let hit = vec![(a, sym.intern("a1")), (b, sym.intern("b1"))];
+        assert_eq!(
+            Expr::rel(0)
+                .select(hit)
+                .eval(&scheme, &state)
+                .unwrap()
+                .len(),
+            1
+        );
+        let miss = vec![(a, sym.intern("a1")), (b, sym.intern("b2"))];
+        assert!(Expr::rel(0)
+            .select(miss)
+            .eval(&scheme, &state)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn eval_reports_each_malformed_expression() {
+        let (scheme, mut sym, state) = setup();
+        let u = scheme.universe();
+        let cases = [
+            (Expr::rel(2), RelationError::UnknownRelation(2)),
+            (
+                Expr::rel(0).join(Expr::rel(7)),
+                RelationError::UnknownRelation(7),
+            ),
+            (
+                Expr::rel(0).project(u.set_of("C")),
+                RelationError::ProjectionNotContained,
+            ),
+            (
+                Expr::rel(1).select(vec![(u.attr_of("A"), sym.intern("a1"))]),
+                RelationError::SelectionNotContained,
+            ),
+            (
+                Expr::rel(0).union(Expr::rel(1)),
+                RelationError::UnionSchemeMismatch,
+            ),
+            // The inputs' errors come first, left to right.
+            (
+                Expr::rel(0).union(Expr::rel(1).project(u.set_of("A"))),
+                RelationError::ProjectionNotContained,
+            ),
+        ];
+        for (e, want) in cases {
+            assert_eq!(e.eval(&scheme, &state).unwrap_err(), want, "{e:?}");
+            assert_eq!(e.eval_sorted(&state).unwrap_err(), want, "{e:?}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 pub mod algebra;
 mod attrset;
 mod error;
+mod eval;
 pub mod exec;
 pub mod parse;
 mod relation;

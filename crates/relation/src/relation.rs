@@ -97,102 +97,6 @@ impl Relation {
         Ok(r)
     }
 
-    /// Projection `π_X(r)`; `X` must be a subset of the relation's scheme.
-    pub fn project(&self, x: AttrSet) -> Result<Relation, RelationError> {
-        if !x.is_subset(self.attrs) {
-            return Err(RelationError::ProjectionNotContained);
-        }
-        let mut out = Relation::new(x);
-        for t in &self.tuples {
-            // Projection cannot fail scheme checks by construction.
-            let _ = out.insert(t.project(x));
-        }
-        Ok(out)
-    }
-
-    /// Set union of two relations over the same attribute set.
-    pub fn union(&self, other: &Relation) -> Result<Relation, RelationError> {
-        if self.attrs != other.attrs {
-            return Err(RelationError::UnionSchemeMismatch);
-        }
-        let mut out = self.clone();
-        for t in other.iter() {
-            out.insert(t.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// Set difference `self − other` over the same attribute set.
-    pub fn difference(&self, other: &Relation) -> Result<Relation, RelationError> {
-        if self.attrs != other.attrs {
-            return Err(RelationError::UnionSchemeMismatch);
-        }
-        let mut out = Relation::new(self.attrs);
-        for t in self.iter() {
-            if !other.contains(t) {
-                let _ = out.insert(t.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Natural join `self ⋈ other` (nested-loop with a hash index on the
-    /// common attributes of the smaller side).
-    pub fn join(&self, other: &Relation) -> Relation {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let common = small.attrs & large.attrs;
-        let out_attrs = small.attrs | large.attrs;
-        let mut out = Relation::new(out_attrs);
-        if common.is_empty() {
-            for a in small.iter() {
-                for b in large.iter() {
-                    if let Some(j) = a.join(b) {
-                        let _ = out.insert(j);
-                    }
-                }
-            }
-            return out;
-        }
-        use std::collections::HashMap;
-        let mut index: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
-        for t in small.iter() {
-            index.entry(t.project(common)).or_default().push(t);
-        }
-        for t in large.iter() {
-            if let Some(matches) = index.get(&t.project(common)) {
-                for m in matches {
-                    if let Some(j) = m.join(t) {
-                        let _ = out.insert(j);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Conjunctive selection `σ_{A1=c1 ∧ …}(r)` (§2.7).
-    pub fn select(&self, formula: &[(crate::Attribute, crate::Value)]) -> Result<Relation, RelationError> {
-        for &(a, _) in formula {
-            if !self.attrs.contains(a) {
-                return Err(RelationError::SelectionNotContained);
-            }
-        }
-        let mut out = Relation::new(self.attrs);
-        'next: for t in self.iter() {
-            for &(a, v) in formula {
-                if t.value(a) != v {
-                    continue 'next;
-                }
-            }
-            let _ = out.insert(t.clone());
-        }
-        Ok(out)
-    }
-
     /// Collects the tuples into a sorted `Vec` — convenient for
     /// order-insensitive comparisons in tests.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
@@ -237,79 +141,5 @@ mod tests {
         let mut r = Relation::new(u.set_of("AB"));
         let t = tup(&u, &mut s, &[("A", "a")]);
         assert!(matches!(r.insert(t), Err(RelationError::SchemeMismatch)));
-    }
-
-    #[test]
-    fn project_and_union() {
-        let u = Universe::of_chars("ABC");
-        let mut s = SymbolTable::new();
-        let mut r = Relation::new(u.set_of("ABC"));
-        r.insert(tup(&u, &mut s, &[("A", "a"), ("B", "b"), ("C", "c")]))
-            .unwrap();
-        r.insert(tup(&u, &mut s, &[("A", "a"), ("B", "b"), ("C", "c2")]))
-            .unwrap();
-        let p = r.project(u.set_of("AB")).unwrap();
-        assert_eq!(p.len(), 1);
-        let un = p.union(&p).unwrap();
-        assert_eq!(un.len(), 1);
-    }
-
-    #[test]
-    fn join_matches_on_common_attrs() {
-        let u = Universe::of_chars("ABC");
-        let mut s = SymbolTable::new();
-        let mut r1 = Relation::new(u.set_of("AB"));
-        r1.insert(tup(&u, &mut s, &[("A", "a1"), ("B", "b")])).unwrap();
-        r1.insert(tup(&u, &mut s, &[("A", "a2"), ("B", "b2")])).unwrap();
-        let mut r2 = Relation::new(u.set_of("BC"));
-        r2.insert(tup(&u, &mut s, &[("B", "b"), ("C", "c")])).unwrap();
-        let j = r1.join(&r2);
-        assert_eq!(j.attrs(), u.set_of("ABC"));
-        assert_eq!(j.len(), 1);
-        assert!(j.iter().next().unwrap().agrees_on(
-            &tup(&u, &mut s, &[("A", "a1"), ("B", "b"), ("C", "c")]),
-            u.set_of("ABC")
-        ));
-    }
-
-    #[test]
-    fn join_without_common_attrs_is_cartesian() {
-        let u = Universe::of_chars("AB");
-        let mut s = SymbolTable::new();
-        let mut r1 = Relation::new(u.set_of("A"));
-        r1.insert(tup(&u, &mut s, &[("A", "a1")])).unwrap();
-        r1.insert(tup(&u, &mut s, &[("A", "a2")])).unwrap();
-        let mut r2 = Relation::new(u.set_of("B"));
-        r2.insert(tup(&u, &mut s, &[("B", "b1")])).unwrap();
-        r2.insert(tup(&u, &mut s, &[("B", "b2")])).unwrap();
-        assert_eq!(r1.join(&r2).len(), 4);
-    }
-
-    #[test]
-    fn select_filters() {
-        let u = Universe::of_chars("AB");
-        let mut s = SymbolTable::new();
-        let mut r = Relation::new(u.set_of("AB"));
-        r.insert(tup(&u, &mut s, &[("A", "a"), ("B", "b1")])).unwrap();
-        r.insert(tup(&u, &mut s, &[("A", "a"), ("B", "b2")])).unwrap();
-        let sel = r
-            .select(&[(u.attr_of("B"), s.intern("b1"))])
-            .unwrap();
-        assert_eq!(sel.len(), 1);
-        let bad = r.select(&[(u.attr_of("B"), s.intern("zzz"))]).unwrap();
-        assert!(bad.is_empty());
-    }
-
-    #[test]
-    fn difference_removes_common() {
-        let u = Universe::of_chars("A");
-        let mut s = SymbolTable::new();
-        let mut r1 = Relation::new(u.set_of("A"));
-        r1.insert(tup(&u, &mut s, &[("A", "x")])).unwrap();
-        r1.insert(tup(&u, &mut s, &[("A", "y")])).unwrap();
-        let mut r2 = Relation::new(u.set_of("A"));
-        r2.insert(tup(&u, &mut s, &[("A", "x")])).unwrap();
-        let d = r1.difference(&r2).unwrap();
-        assert_eq!(d.len(), 1);
     }
 }

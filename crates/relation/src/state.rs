@@ -77,15 +77,25 @@ impl DatabaseState {
         }
     }
 
-    /// State union `s ∪ r` (componentwise, §2.1).
-    pub fn union(&self, other: &DatabaseState) -> Result<DatabaseState, RelationError> {
-        let relations = self
+    /// Replaces relation `i` with a clone of `src`'s relation `i`, whole:
+    /// no per-tuple insert, and the copy keeps `src`'s insertion order.
+    ///
+    /// # Errors
+    ///
+    /// [`RelationError::UnknownRelation`] if either state lacks relation
+    /// `i`; [`RelationError::SchemeMismatch`] if the two relations differ
+    /// in attributes.
+    pub fn copy_relation(&mut self, i: usize, src: &DatabaseState) -> Result<(), RelationError> {
+        let from = src.relations.get(i).ok_or(RelationError::UnknownRelation(i))?;
+        let to = self
             .relations
-            .iter()
-            .zip(other.relations.iter())
-            .map(|(a, b)| a.union(b))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(DatabaseState { relations })
+            .get_mut(i)
+            .ok_or(RelationError::UnknownRelation(i))?;
+        if to.attrs() != from.attrs() {
+            return Err(RelationError::SchemeMismatch);
+        }
+        to.clone_from(from);
+        Ok(())
     }
 
     /// Pretty-prints the state for examples and debugging.
@@ -185,12 +195,38 @@ mod tests {
     }
 
     #[test]
-    fn union_is_componentwise() {
+    fn copy_relation_clones_whole_in_order() {
         let scheme = db();
         let mut sym = SymbolTable::new();
-        let s1 = state_of(&scheme, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
-        let s2 = state_of(&scheme, &mut sym, &[("R1", &[("A", "a2"), ("B", "b")])]).unwrap();
-        let u = s1.union(&s2).unwrap();
-        assert_eq!(u.relation(0).len(), 2);
+        let src = state_of(
+            &scheme,
+            &mut sym,
+            &[
+                ("R1", &[("A", "a2"), ("B", "b")]),
+                ("R1", &[("A", "a1"), ("B", "b")]),
+                ("R2", &[("B", "b"), ("C", "c")]),
+            ],
+        )
+        .unwrap();
+        let mut dst = DatabaseState::empty(&scheme);
+        dst.copy_relation(0, &src).unwrap();
+        let order = |s: &DatabaseState| s.relation(0).iter().cloned().collect::<Vec<_>>();
+        assert_eq!(order(&dst), order(&src));
+        assert!(dst.relation(1).is_empty());
+        assert!(matches!(
+            dst.copy_relation(2, &src),
+            Err(RelationError::UnknownRelation(2))
+        ));
+        let other = DatabaseState::empty(
+            &SchemeBuilder::new("ABC")
+                .scheme("R1", "AC", ["A"])
+                .scheme("R2", "B", ["B"])
+                .build()
+                .unwrap(),
+        );
+        assert!(matches!(
+            dst.copy_relation(0, &other),
+            Err(RelationError::SchemeMismatch)
+        ));
     }
 }

@@ -1,13 +1,14 @@
 //! Randomized property tests for the relational substrate: AttrSet is a
 //! Boolean algebra, Tuple::join is a partial commutative/associative
-//! operation, and relational operators satisfy their algebraic laws.
+//! operation, and the expression evaluator satisfies the algebraic laws
+//! and agrees with a nested-loop reference on random expressions.
 //!
 //! The workspace builds offline, so instead of a property-testing
 //! framework these run seeded [`SplitMix64`] loops — every case is
 //! deterministic and a failure message pinpoints the case index.
 
 use idr_relation::rng::SplitMix64;
-use idr_relation::{AttrSet, Attribute, Relation, SymbolTable, Tuple, Universe};
+use idr_relation::{AttrSet, Attribute, SymbolTable, Tuple};
 
 const CASES: usize = 256;
 
@@ -137,48 +138,6 @@ fn join_projections_recover_inputs() {
     }
 }
 
-#[test]
-fn relation_join_is_subset_of_cartesian_semantics() {
-    // R1(AB) ⋈ R2(BC): every output tuple restricted to AB / BC must be
-    // an input tuple, and every agreeing pair must appear.
-    let mut master = SplitMix64::new(0xB004);
-    for case in 0..CASES {
-        let mut rng = master.split();
-        let u = Universe::of_chars("ABC");
-        let mut sym = SymbolTable::new();
-        let mut r1 = Relation::new(u.set_of("AB"));
-        for _ in 0..rng.gen_range(0, 6) {
-            let t = Tuple::from_pairs([
-                (u.attr_of("A"), sym.intern(&format!("a{}", rng.gen_range(0, 3)))),
-                (u.attr_of("B"), sym.intern(&format!("b{}", rng.gen_range(0, 3)))),
-            ]);
-            let _ = r1.insert(t);
-        }
-        let mut r2 = Relation::new(u.set_of("BC"));
-        for _ in 0..rng.gen_range(0, 6) {
-            let t = Tuple::from_pairs([
-                (u.attr_of("B"), sym.intern(&format!("b{}", rng.gen_range(0, 3)))),
-                (u.attr_of("C"), sym.intern(&format!("c{}", rng.gen_range(0, 3)))),
-            ]);
-            let _ = r2.insert(t);
-        }
-        let j = r1.join(&r2);
-        for t in j.iter() {
-            assert!(r1.contains(&t.project(u.set_of("AB"))), "case {case}");
-            assert!(r2.contains(&t.project(u.set_of("BC"))), "case {case}");
-        }
-        let mut expected = 0usize;
-        for t1 in r1.iter() {
-            for t2 in r2.iter() {
-                if t1.join(t2).is_some() {
-                    expected += 1;
-                }
-            }
-        }
-        assert_eq!(j.len(), expected, "case {case}");
-    }
-}
-
 /// Algebraic laws of the expression evaluator on random tiny states.
 mod algebra_laws {
     use idr_relation::algebra::Expr;
@@ -295,6 +254,168 @@ mod algebra_laws {
             let aa = a.clone().union(a.clone()).eval(&scheme, &state).unwrap();
             let just_a = a.eval(&scheme, &state).unwrap();
             assert!(aa.set_eq(&just_a), "case {case}");
+        }
+    }
+}
+
+/// The evaluator against a nested-loop reference over random schemes,
+/// states and expression trees.
+mod differential {
+    use std::collections::BTreeSet;
+
+    use idr_relation::algebra::Expr;
+    use idr_relation::rng::SplitMix64;
+    use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, SchemeBuilder, SymbolTable, Tuple};
+
+    const CASES: usize = 512;
+    const ATTRS: &str = "ABCDE";
+
+    /// 2–4 relation schemes of 1–3 attributes over `ABCDE`; the last one
+    /// takes every attribute the others miss, so the scheme covers the
+    /// universe. Two schemes may share no attribute (a cartesian join).
+    fn rand_scheme(rng: &mut SplitMix64) -> DatabaseScheme {
+        let k = rng.gen_range_inclusive(2, 4);
+        let mut covered = BTreeSet::new();
+        let mut b = SchemeBuilder::new(ATTRS);
+        for i in 0..k {
+            let mut attrs: BTreeSet<char> = (0..rng.gen_range_inclusive(1, 3))
+                .map(|_| ATTRS.as_bytes()[rng.gen_range(0, ATTRS.len())] as char)
+                .collect();
+            if i + 1 == k {
+                attrs.extend(ATTRS.chars().filter(|c| !covered.contains(c)));
+            }
+            covered.extend(attrs.iter().copied());
+            let attrs: String = attrs.into_iter().collect();
+            b = b.scheme(&format!("R{i}"), &attrs, [attrs.as_str()]);
+        }
+        b.build().unwrap()
+    }
+
+    /// A value of attribute `a` from a pool of three, so joins and
+    /// selections both hit and miss.
+    fn rand_value(rng: &mut SplitMix64, sym: &mut SymbolTable, a: usize) -> idr_relation::Value {
+        sym.intern(&format!("{a}:{}", rng.gen_range(0, 3)))
+    }
+
+    /// 0–5 random tuples per relation (some relations stay empty).
+    fn rand_state(
+        rng: &mut SplitMix64,
+        db: &DatabaseScheme,
+        sym: &mut SymbolTable,
+    ) -> DatabaseState {
+        let mut state = DatabaseState::empty(db);
+        for (i, s) in db.schemes().iter().enumerate() {
+            for _ in 0..rng.gen_range(0, 6) {
+                let t = Tuple::from_pairs(
+                    s.attrs()
+                        .iter()
+                        .map(|a| (a, rand_value(rng, sym, a.index())))
+                        .collect::<Vec<_>>(),
+                );
+                state.insert(i, t).unwrap();
+            }
+        }
+        state
+    }
+
+    /// A random subset of `s` (possibly empty).
+    fn rand_subset(rng: &mut SplitMix64, s: AttrSet) -> AttrSet {
+        AttrSet::from_iter(s.iter().filter(|_| rng.gen_pct(50)))
+    }
+
+    /// A random well-formed expression and its output attributes.
+    fn rand_expr(
+        rng: &mut SplitMix64,
+        db: &DatabaseScheme,
+        sym: &mut SymbolTable,
+        depth: usize,
+    ) -> (Expr, AttrSet) {
+        if depth == 0 || rng.gen_pct(25) {
+            let i = rng.gen_range(0, db.len());
+            return (Expr::rel(i), db.scheme(i).attrs());
+        }
+        match rng.gen_range(0, 4) {
+            0 => {
+                let (e, s) = rand_expr(rng, db, sym, depth - 1);
+                let x = rand_subset(rng, s);
+                (e.project(x), x)
+            }
+            1 => {
+                let (e, s) = rand_expr(rng, db, sym, depth - 1);
+                let attrs: Vec<_> = s.iter().collect();
+                if attrs.is_empty() {
+                    return (e, s);
+                }
+                // One to three conjuncts, possibly two on one attribute.
+                let formula = (0..rng.gen_range_inclusive(1, 3))
+                    .map(|_| {
+                        let a = attrs[rng.gen_range(0, attrs.len())];
+                        (a, rand_value(rng, sym, a.index()))
+                    })
+                    .collect();
+                (e.select(formula), s)
+            }
+            2 => {
+                let (l, ls) = rand_expr(rng, db, sym, depth - 1);
+                let (r, rs) = rand_expr(rng, db, sym, depth - 1);
+                (l.join(r), ls | rs)
+            }
+            _ => {
+                // Project both sides onto their common attributes (maybe
+                // none) so the union is well-formed.
+                let (l, ls) = rand_expr(rng, db, sym, depth - 1);
+                let (r, rs) = rand_expr(rng, db, sym, depth - 1);
+                let x = ls & rs;
+                (l.project(x).union(r.project(x)), x)
+            }
+        }
+    }
+
+    /// Nested-loop semantics straight from the definitions (§2.1, §2.7).
+    fn reference(e: &Expr, state: &DatabaseState) -> BTreeSet<Tuple> {
+        match e {
+            Expr::Rel(i) => state.relation(*i).iter().cloned().collect(),
+            Expr::Project(x, e) => reference(e, state).iter().map(|t| t.project(*x)).collect(),
+            Expr::Select(formula, e) => reference(e, state)
+                .into_iter()
+                .filter(|t| formula.iter().all(|&(a, v)| t.value(a) == v))
+                .collect(),
+            Expr::Join(l, r) => {
+                let (l, r) = (reference(l, state), reference(r, state));
+                let mut out = BTreeSet::new();
+                for a in &l {
+                    for b in &r {
+                        if let Some(j) = a.join(b) {
+                            out.insert(j);
+                        }
+                    }
+                }
+                out
+            }
+            Expr::Union(l, r) => {
+                let mut out = reference(l, state);
+                out.extend(reference(r, state));
+                out
+            }
+        }
+    }
+
+    #[test]
+    fn evaluator_agrees_with_nested_loops() {
+        let mut master = SplitMix64::new(0xD001);
+        for case in 0..CASES {
+            let mut rng = master.split();
+            let db = rand_scheme(&mut rng);
+            let mut sym = SymbolTable::new();
+            let state = rand_state(&mut rng, &db, &mut sym);
+            let (e, attrs) = rand_expr(&mut rng, &db, &mut sym, 4);
+            let want: Vec<Tuple> = reference(&e, &state).into_iter().collect();
+            let got = e.eval_sorted(&state).unwrap();
+            assert_eq!(got, want, "case {case}: {}", e.render(&db));
+            let rel = e.eval(&db, &state).unwrap();
+            assert_eq!(rel.attrs(), attrs, "case {case}");
+            assert_eq!(e.output_scheme(&db).unwrap(), attrs, "case {case}");
+            assert_eq!(rel.sorted_tuples(), want, "case {case}");
         }
     }
 }

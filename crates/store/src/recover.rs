@@ -119,6 +119,8 @@ pub fn recover_with(
                 detail: format!("cannot bind a hub to the snapshot state: {e}"),
             }
         })?;
+        // The hub holds its own copy of the snapshot state.
+        drop(snap_state);
         let writer = hub.write_handle();
         for line in &scan.records {
             // The shared replay entry re-earns each op's verdict: a

@@ -338,6 +338,8 @@ impl Replica {
                 ..
             } = &mut *self;
             let hub = engine.hub(&base, guard)?;
+            // The hub holds its own copy of the base state.
+            drop(base);
             let writer = hub.write_handle();
             for &(seq, origin) in &order[todo_from..] {
                 let line = journals[origin].op(seq).to_string();

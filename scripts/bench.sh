@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Seeded offline benchmark (no registry dependencies, no network): builds
 # the `bench` package (crates/bench-smoke), runs it, writes the output
-# JSON (default BENCH_pr16.json, override with the first argument), and
+# JSON (default BENCH_pr17.json, override with the first argument), and
 # asserts:
 #
 #   * the PR 2 headline — the indexed incremental engine beats the naive
@@ -37,7 +37,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_pr16.json}"
+OUT="${1:-BENCH_pr17.json}"
 
 cargo build -p bench --release
 ./target/release/bench-smoke > "$OUT"
