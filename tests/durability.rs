@@ -24,7 +24,13 @@
 //! * A bounded run of the crash-point fuzzer (`idr-oracle`), which cuts
 //!   the WAL at every byte boundary and diffs recovery against a
 //!   never-crashed oracle.
+//! * Checkpoint on quit: an `idr serve` session that logged writes
+//!   leaves a fresh snapshot and an empty WAL; one that logged nothing
+//!   leaves the data dir byte for byte as it found it.
 
+use std::io::Write;
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -396,5 +402,73 @@ fn crash_point_fuzzer_smoke() {
         summary.is_clean(),
         "crash-recovery divergence: {:?}",
         summary.failures
+    );
+}
+
+/// Runs `idr ARGS` with `input` on stdin; its stdout, after asserting
+/// a zero exit.
+fn idr(args: &[&str], input: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_idr"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn idr");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("idr exits");
+    assert!(out.status.success(), "idr {args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Every file in `dir` with its size, sorted by name.
+fn listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().into_string().unwrap(), e.metadata().unwrap().len())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn serve_checkpoints_on_quit_after_logging_writes() {
+    let tmp = TempDir::new("serve-checkpoint");
+    let d = tmp.path().to_str().unwrap();
+    // A data dir whose WAL holds two records, as a killed session
+    // leaves it.
+    let store = shared(Store::init(tmp.path(), &scheme()).unwrap());
+    assert_eq!(run_ops(&store, &[('+', "R1: A=a B=b"), ('+', "R2: C=c D=d")]), [true, true]);
+    drop(store);
+
+    // A session that only reads rewrites nothing.
+    let before = listing(tmp.path());
+    let served = idr(&["serve", "--data-dir", d], "query A B\nquit\n");
+    assert!(served.contains("store epoch 0, 2 WAL record(s)"), "{served:?}");
+    assert_eq!(listing(tmp.path()), before);
+
+    // A session that writes folds the whole log into a snapshot.
+    let served = idr(&["serve", "--data-dir", d], "delete R2: C=c D=d\nquit\n");
+    assert!(
+        served.contains("store epoch 1, 0 WAL record(s)"),
+        "no checkpoint in {served:?}"
+    );
+    let wals: Vec<_> = listing(tmp.path())
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("wal-"))
+        .collect();
+    assert_eq!(wals, [("wal-1.log".to_string(), 0)]);
+    let recovered = idr(&["recover", "--data-dir", d], "");
+    assert!(
+        recovered.contains("1 snapshot tuple(s) + 0 WAL record(s)"),
+        "{recovered}"
     );
 }
