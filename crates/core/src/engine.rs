@@ -311,7 +311,7 @@ impl Engine {
     /// error — the hub reports it through [`Hub::is_consistent`]. `Err`
     /// means the guard stopped a chase before a verdict.
     pub fn hub(&self, state: &DatabaseState, guard: &Guard) -> Result<Hub<'_>, ExecError> {
-        Hub::build(self, state, guard, None)
+        Hub::build(self, state, guard)
     }
 
     /// Like [`hub`](Engine::hub), with an owned write-ahead durability
@@ -319,14 +319,18 @@ impl Engine {
     /// [`WriteHandle`](crate::WriteHandle): every write unit commits to
     /// the log once its verdicts are earned and before it is
     /// acknowledged; concurrent writers' appends may group-commit into
-    /// one fsync.
+    /// one fsync. Equivalent to [`hub`](Engine::hub) followed by
+    /// [`Hub::attach_sink`].
     pub fn hub_with(
         &self,
         state: &DatabaseState,
         guard: &Guard,
         sink: Arc<dyn DurabilitySink>,
     ) -> Result<Hub<'_>, ExecError> {
-        Hub::build(self, state, guard, Some(sink))
+        let hub = Hub::build(self, state, guard)?;
+        hub.attach_sink(sink)
+            .expect("a freshly built hub has no sink");
+        Ok(hub)
     }
 
     /// Whether block-parallel evaluation is enabled.

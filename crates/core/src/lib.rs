@@ -64,7 +64,7 @@ pub mod split;
 pub use classify::{classify, Classification};
 pub use durability::{DurabilitySink, DurableOp};
 pub use engine::{Engine, Observability};
-pub use replay::{ReplayError, ReplayOutcome};
+pub use replay::{ReplayError, ReplayOutcome, REPLAY_UNIT};
 pub use serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
 pub use exec::{
     Budget, CancelToken, ExecError, Fault, FaultInjector, FaultKind, FaultPlan, Guard,

@@ -75,7 +75,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use idr_chase::{ChaseStats, IncrementalChase, RejectionExplanation, TupleExplanation};
@@ -149,8 +149,9 @@ struct HubShared {
     /// scan) by the publisher. A spurious republish is harmless, a lost
     /// update is not — see [`HubShared::publish_snapshot`].
     stale: AtomicBool,
-    /// Owned durability sink for the concurrent write pipeline.
-    sink: Option<Arc<dyn DurabilitySink>>,
+    /// Owned durability sink for the concurrent write pipeline,
+    /// attached at most once (see [`Hub::attach_sink`]).
+    sink: OnceLock<Arc<dyn DurabilitySink>>,
     /// Provenance of the most recent rejected insert across all writers.
     last_rejection: Mutex<Option<RejectionExplanation>>,
     /// Pre-resolved metric handles (None when metrics are off). The
@@ -248,7 +249,8 @@ fn lock_slot(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
 /// The hub owns the per-block tableaux and the published snapshot; it
 /// hands out cloneable [`WriteHandle`]s (serialized per block, parallel
 /// across blocks) and epoch-stamped [`ReadView`]s. Built by
-/// [`Engine::hub`] / [`Engine::hub_with`].
+/// [`Engine::hub`] / [`Engine::hub_with`]; a durability sink attaches
+/// once, after the build ([`Hub::attach_sink`]).
 #[derive(Debug)]
 pub struct Hub<'e> {
     engine: &'e Engine,
@@ -340,7 +342,6 @@ impl<'e> Hub<'e> {
         engine: &'e Engine,
         state: &DatabaseState,
         guard: &Guard,
-        sink: Option<Arc<dyn DurabilitySink>>,
     ) -> Result<Hub<'e>, ExecError> {
         let t0 = Instant::now();
         let obs = engine.observability();
@@ -407,7 +408,7 @@ impl<'e> Hub<'e> {
                 })),
                 epoch: AtomicU64::new(0),
                 stale: AtomicBool::new(false),
-                sink,
+                sink: OnceLock::new(),
                 last_rejection: Mutex::new(None),
                 metrics,
                 slots,
@@ -433,6 +434,20 @@ impl<'e> Hub<'e> {
     /// The engine this hub serves.
     pub fn engine(&self) -> &'e Engine {
         self.engine
+    }
+
+    /// Attaches the write-ahead durability sink: from now on every write
+    /// unit is logged through it once its verdicts are earned, and
+    /// counts toward its snapshot cadence. Units applied before the
+    /// attach are not logged — recovery replays the WAL tail into the
+    /// hub first, so replayed records are never logged twice. Attach
+    /// before handing out writers. Returns the sink back if one is
+    /// already attached.
+    pub fn attach_sink(
+        &self,
+        sink: Arc<dyn DurabilitySink>,
+    ) -> Result<(), Arc<dyn DurabilitySink>> {
+        self.shared.sink.set(sink)
     }
 
     /// A new writer over this hub. Cloneable and `Send` — hand one to
@@ -574,7 +589,7 @@ impl<'e> Hub<'e> {
             timeline::stamp_current(Phase::Apply);
             // Phase 2 — write-ahead for the whole unit: one sink call,
             // one group-commit barrier, one fsync.
-            if let Some(d) = &self.shared.sink {
+            if let Some(d) = self.shared.sink.get() {
                 let records: Vec<DurableOp<'_>> = ops.iter().map(BatchOp::as_durable).collect();
                 if let Err(e) = d.log_ops(&records) {
                     failure = Some(e);
@@ -815,7 +830,7 @@ impl<'e> Hub<'e> {
     /// snapshot is due and, if so, quiesces every block and hands over a
     /// consistent cut. Called with no slot lock held.
     fn sink_op_finished(&self, ops: usize) -> Result<(), ExecError> {
-        let Some(sink) = &self.shared.sink else {
+        let Some(sink) = self.shared.sink.get() else {
             return Ok(());
         };
         if !sink.op_finished(ops)? {

@@ -340,23 +340,21 @@ impl Replica {
             let hub = engine.hub(&base, guard)?;
             // The hub holds its own copy of the base state.
             drop(base);
-            let writer = hub.write_handle();
-            for &(seq, origin) in &order[todo_from..] {
-                let line = journals[origin].op(seq).to_string();
-                match writer.replay_op(&line, symbols, guard) {
-                    Ok(_) => {}
-                    Err(ReplayError::Malformed { line, detail }) => {
-                        // A malformed journal entry means the peers
-                        // disagree on the op format — divergence, not a
-                        // crash.
-                        if diverged.is_none() {
-                            *diverged =
-                                Some(format!("malformed journal op {line:?}: {detail}"));
-                        }
+            let lines = order[todo_from..]
+                .iter()
+                .map(|&(seq, origin)| journals[origin].op(seq));
+            hub.write_handle().replay(lines, symbols, guard, |_, r| match r {
+                Ok(_) => Ok(()),
+                Err(ReplayError::Malformed { line, detail }) => {
+                    // A malformed journal entry means the peers disagree
+                    // on the op format — divergence, not a crash.
+                    if diverged.is_none() {
+                        *diverged = Some(format!("malformed journal op {line:?}: {detail}"));
                     }
-                    Err(ReplayError::Exec(e)) => return Err(e),
+                    Ok(())
                 }
-            }
+                Err(ReplayError::Exec(e)) => Err(e),
+            })?;
             let view = hub.read_view();
             (view.state().clone(), view.is_consistent())
         };

@@ -13,9 +13,10 @@
 #
 # For each end-to-end metric it prints the median and interquartile
 # range of both sides, change/parent, and on how many pairs the change
-# was better. A metric whose change is worse than its BENCHMARK.json
-# bound is flagged `WORSE`; a side with a failed or incorrect run is
-# reported, and the script then exits 1.
+# was better. A metric whose change median is worse than the parent
+# median by more than its BENCHMARK.json bound is flagged `WORSE`; a
+# side with a failed or incorrect run is reported. The script exits 1
+# if any metric is flagged `WORSE` or any run failed, and 0 otherwise.
 #
 # The parent's build and data live in the temporary directory, removed
 # on exit. The working tree builds into `.bench_build` and runs in
@@ -91,7 +92,7 @@ change, change_bad = load(change_path)
 print(f"ab: {workload}, parent {rev} vs working tree, {len(parent)} pair(s)")
 print(f"{'metric':<22}{'parent median':>15}{'IQR':>10}{'change median':>15}{'IQR':>10}"
       f"{'change/parent':>15}{'pairs better':>14}")
-ok = parent_bad == 0 and change_bad == 0
+worse = []
 for m in spec:
     name, lower = m["name"], m["better"] == "lower"
     pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -105,10 +106,15 @@ for m in spec:
     ratio = cq[1] / pq[1] if pq[1] else float("inf")
     better = sum(1 for p, c in pairs if (c < p if lower else c > p))
     worse_by = (ratio - 1) if lower else (1 - ratio)
-    flag = "  WORSE (bound {:.0%})".format(m["bound"]) if worse_by > m["bound"] else ""
+    flag = ""
+    if worse_by > m["bound"]:
+        flag = "  WORSE (bound {:.0%})".format(m["bound"])
+        worse.append(name)
     print(f"{name:<22}{pq[1]:>15.4g}{pq[2] - pq[0]:>10.3g}{cq[1]:>15.4g}{cq[2] - cq[0]:>10.3g}"
           f"{ratio:>15.3f}{better:>9}/{len(pairs)}{flag}")
-if not ok:
+if parent_bad or change_bad:
     print(f"ab: failed or incorrect runs: parent {parent_bad}, change {change_bad}")
-sys.exit(0 if ok else 1)
+if worse:
+    print(f"ab: worse than the parent past the bound: {', '.join(worse)}")
+sys.exit(1 if worse or parent_bad or change_bad else 0)
 EOF

@@ -1428,8 +1428,7 @@ fn parse_store_flags(rest: &[String]) -> Result<StoreOpts, String> {
 }
 
 /// Renders the recovery stats line shared by `serve` and `recover`.
-fn report_recovery(dir: &str, rec: &store::Recovered) {
-    let s = &rec.stats;
+fn report_recovery(dir: &str, s: &store::RecoveryStats, tuples: usize, consistent: bool) {
     let torn = if s.torn_bytes > 0 {
         format!(", {} torn byte(s) truncated", s.torn_bytes)
     } else {
@@ -1440,14 +1439,55 @@ fn report_recovery(dir: &str, rec: &store::Recovered) {
         s.epoch, s.snapshot_tuples, s.wal_records, s.replayed, s.rejected
     );
     println!(
-        "state: {} tuple(s), {}",
-        rec.state.total_tuples(),
-        if rec.consistent {
+        "state: {tuples} tuple(s), {}",
+        if consistent {
             "consistent"
         } else {
             "inconsistent"
         }
     );
+}
+
+/// Opens the data dir `dir` for `serve` and `recover`, attaching the
+/// command's tracer and metrics to the store. Prints the failure and
+/// returns its exit code on error.
+fn open_store(dir: &str, obs: &Observability) -> Result<store::Opened, ExitCode> {
+    store::open(Path::new(dir), obs.tracer.clone(), obs.metrics.clone())
+        .map_err(|e| fail(store_exit(&e), &format!("{e}")))
+}
+
+/// Start-up: builds the one hub `engine` serves over the opened
+/// snapshot under `guard`, drops the snapshot, replays the WAL tail
+/// into the hub (under an unlimited guard) and prints the recovery
+/// banner with the verdict that hub earned. Returns the hub and the
+/// store, which has no sink attached yet; on error, prints it and
+/// returns its exit code.
+fn recover_into<'e>(
+    engine: &'e Engine,
+    dir: &str,
+    opened: store::Opened,
+    guard: &Guard,
+) -> Result<(Hub<'e>, Store), ExitCode> {
+    let store::Opened {
+        store,
+        snapshot,
+        records,
+        mut stats,
+    } = opened;
+    let hub = engine
+        .hub(&snapshot, guard)
+        .map_err(|e| fail(exec_exit(&e), &format!("{e}")))?;
+    // The hub holds its own copy: release the loaded one.
+    drop(snapshot);
+    {
+        let symbols = store.symbols();
+        let mut symbols = symbols.lock().unwrap_or_else(|p| p.into_inner());
+        store::replay(&hub.write_handle(), &mut symbols, &records, &mut stats)
+            .map_err(|e| fail(store_exit(&e), &format!("{e}")))?;
+    }
+    let view = hub.read_view();
+    report_recovery(dir, &stats, view.state().total_tuples(), view.is_consistent());
+    Ok((hub, store))
 }
 
 /// `idr recover --data-dir DIR [<ATTR>...]`: replays snapshot + WAL
@@ -1471,28 +1511,28 @@ fn recover_cmd(rest: &[String], budget: Budget, obs: &Observability, parallel: b
             "--snapshot-every/--clients/--group-commit-window/--stats-every/--slow-op-us/--listen/--peer only apply to idr serve",
         );
     }
-    let rec = match store::recover_with(
-        Path::new(&opts.dir),
-        obs.tracer.clone(),
-        obs.metrics.clone(),
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(store_exit(&e), &format!("{e}")),
+    let opened = match open_store(&opts.dir, obs) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
-    report_recovery(&opts.dir, &rec);
+    let engine = Engine::new(opened.store.scheme().clone())
+        .with_parallel(parallel)
+        .with_observability(obs.clone());
+    let guard = Guard::new(budget);
+    let (hub, store) = match recover_into(&engine, &opts.dir, opened, &guard) {
+        Ok(r) => r,
+        Err(code) => return code,
+    };
+    let view = hub.read_view();
     if !opts.rest.is_empty() {
-        let engine = Engine::new(rec.store.scheme().clone())
-            .with_parallel(parallel)
-            .with_observability(obs.clone());
         let x = match parse_attrs(&engine, &opts.rest) {
             Ok(x) => x,
             Err(e) => return fail(EXIT_PARSE, &e),
         };
-        let guard = Guard::new(budget);
         let u = engine.scheme().universe();
-        match engine.total_projection(&rec.state, x, &guard) {
+        match view.total_projection(x, &guard) {
             Ok(Some(tuples)) => {
-                let symbols = rec.store.symbols();
+                let symbols = store.symbols();
                 let sym = symbols.lock().unwrap_or_else(|p| p.into_inner());
                 println!("[{}]: {} tuple(s)", u.render(x), tuples.len());
                 for t in &tuples {
@@ -1503,7 +1543,7 @@ fn recover_cmd(rest: &[String], budget: Budget, obs: &Observability, parallel: b
             Err(e) => return fail(exec_exit(&e), &format!("{e}")),
         }
     }
-    if rec.consistent {
+    if view.is_consistent() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_INCONSISTENT)
@@ -2145,32 +2185,29 @@ fn serve_cmd(
         o
     };
     let obs = &obs;
-    let rec = match store::recover_with(
-        Path::new(&opts.dir),
-        obs.tracer.clone(),
-        obs.metrics.clone(),
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(store_exit(&e), &format!("{e}")),
+    let opened = match open_store(&opts.dir, obs) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
-    report_recovery(&opts.dir, &rec);
-    let window = std::time::Duration::from_micros(opts.group_commit_window_us.unwrap_or(0));
-    let shared = Arc::new(
-        store::SharedStore::new(rec.store.with_snapshot_every(opts.snapshot_every))
-            .with_group_window(window),
-    );
-    let symbols = shared.symbols();
-    let db = shared.lock().scheme().clone();
+    let db = opened.store.scheme().clone();
     let engine = Engine::new(db.clone())
         .with_parallel(parallel)
         .with_observability(obs.clone());
     let guard = Guard::new(budget);
-    let hub = match engine.hub_with(&rec.state, &guard, shared.clone()) {
-        Ok(h) => h,
-        Err(e) => return fail(exec_exit(&e), &format!("{e}")),
+    let (hub, store) = match recover_into(&engine, &opts.dir, opened, &guard) {
+        Ok(r) => r,
+        Err(code) => return code,
     };
-    // The hub holds its own copy: release the recovered one.
-    drop(rec.state);
+    // The sink attaches after replay: replayed records are not logged
+    // again and do not count toward `--snapshot-every` twice.
+    let window = std::time::Duration::from_micros(opts.group_commit_window_us.unwrap_or(0));
+    let shared = Arc::new(
+        store::SharedStore::new(store.with_snapshot_every(opts.snapshot_every))
+            .with_group_window(window),
+    );
+    hub.attach_sink(shared.clone())
+        .expect("a freshly built hub has no sink");
+    let symbols = shared.symbols();
     let clients = opts.clients.unwrap_or(1);
     let stats = Arc::new(ServeStats::new(registry.clone()));
     let stats_every = opts.stats_every;

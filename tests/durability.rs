@@ -27,7 +27,13 @@
 //! * Checkpoint on quit: an `idr serve` session that logged writes
 //!   leaves a fresh snapshot and an empty WAL; one that logged nothing
 //!   leaves the data dir byte for byte as it found it.
+//! * Start-up builds one hub: `idr serve` and `idr recover` replay the
+//!   WAL tail into the hub they answer from, so a start-up counts one
+//!   `session.builds`, earns the same verdict as `idr recover`, and
+//!   logs no replayed record again (the sink attaches after replay, and
+//!   attaches once).
 
+use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -471,4 +477,110 @@ fn serve_checkpoints_on_quit_after_logging_writes() {
         recovered.contains("1 snapshot tuple(s) + 0 WAL record(s)"),
         "{recovered}"
     );
+}
+
+/// A data dir as a killed session leaves it: a two-tuple snapshot at
+/// epoch 1, then a WAL tail of two accepted inserts, a rejected insert,
+/// a delete, and a torn final record.
+fn dir_with_snapshot_and_tail(name: &str) -> TempDir {
+    let tmp = TempDir::new(name);
+    let store = shared(
+        Store::init(tmp.path(), &scheme())
+            .unwrap()
+            .with_snapshot_every(Some(2)),
+    );
+    assert_eq!(run_ops(&store, &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")]), [true, true]);
+    drop(store);
+    let rec = recover(tmp.path()).unwrap();
+    assert_eq!((rec.stats.epoch, rec.stats.wal_records), (1, 0));
+    let store = shared(rec.store);
+    let tail = [
+        ('+', "R1: A=a2 B=b2"),
+        ('+', "R2: C=c2 D=d2"),
+        ('+', "R1: A=a2 B=b9"), // key A violation — rejected
+        ('-', "R2: C=c1 D=d1"),
+    ];
+    assert_eq!(run_ops_on_state(&store, &rec.state, &tail), [true, true, false, true]);
+    drop(store);
+    let mut wal = OpenOptions::new()
+        .append(true)
+        .open(tmp.path().join("wal-1.log"))
+        .unwrap();
+    wal.write_all(&[0x2a, 0x00, 0x00]).unwrap(); // 3 of 8 header bytes
+    tmp
+}
+
+/// The value of counter `name` in a `--metrics` JSON file.
+fn metrics_counter(path: &Path, name: &str) -> u64 {
+    let json = std::fs::read_to_string(path).unwrap();
+    let key = format!("\"{name}\":");
+    let at = json.find(&key).unwrap_or_else(|| panic!("no {name} in {json}")) + key.len();
+    let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// The `state: N tuple(s), VERDICT` line of a recovery banner.
+fn state_line(out: &str) -> &str {
+    out.lines()
+        .find(|l| l.starts_with("state: "))
+        .unwrap_or_else(|| panic!("no state line in {out:?}"))
+}
+
+#[test]
+fn serve_start_up_builds_one_hub_and_logs_no_replayed_record() {
+    let tmp = dir_with_snapshot_and_tail("serve-one-hub");
+    let d = tmp.path().to_str().unwrap();
+    let out = TempDir::new("serve-one-hub-metrics");
+    let metrics = out.path().join("serve.json");
+    let wal = tmp.path().join("wal-1.log");
+    let logged = std::fs::metadata(&wal).unwrap().len() - 3;
+
+    let served = idr(
+        &["--metrics", metrics.to_str().unwrap(), "serve", "--data-dir", d],
+        "query A B\nquit\n",
+    );
+    assert!(
+        served.contains(
+            "2 snapshot tuple(s) + 4 WAL record(s) (4 replayed, 1 re-rejected, 3 torn byte(s) truncated)"
+        ),
+        "{served:?}"
+    );
+    assert_eq!(state_line(&served), "state: 3 tuple(s), consistent");
+    assert_eq!(metrics_counter(&metrics, "session.builds"), 1);
+    // The torn tail is gone and the replayed records were not logged
+    // again: the WAL holds exactly the records it held before.
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), logged);
+
+    // `idr recover` earns the same count and verdict, from one hub too.
+    let metrics = out.path().join("recover.json");
+    let recovered = idr(
+        &["--metrics", metrics.to_str().unwrap(), "recover", "--data-dir", d, "A", "B"],
+        "",
+    );
+    assert_eq!(state_line(&recovered), state_line(&served));
+    assert!(recovered.contains("[AB]: 2 tuple(s)"), "{recovered:?}");
+    assert_eq!(metrics_counter(&metrics, "session.builds"), 1);
+}
+
+#[test]
+fn a_hub_attaches_its_sink_once_and_logs_only_after_it() {
+    let dir = TempDir::new("attach-once");
+    let db = scheme();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    let engine = Engine::new(db.clone());
+    let guard = Guard::unlimited();
+    let hub = engine.hub(&DatabaseState::empty(&db), &guard).unwrap();
+    let w = hub.write_handle();
+    let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
+    assert!(w.insert(rel, t, &guard).unwrap());
+    hub.attach_sink(store.clone()).unwrap();
+    let (rel, t) = tuple(&store, "R2: C=c1 D=d1");
+    assert!(w.insert(rel, t, &guard).unwrap());
+    assert_eq!(store.lock().wal_records(), 1, "only the write after the attach");
+    assert!(hub.attach_sink(store.clone()).is_err(), "a second sink");
+
+    let durable = engine
+        .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+        .unwrap();
+    assert!(durable.attach_sink(store.clone()).is_err());
 }
