@@ -68,7 +68,7 @@ pub use replay::{ReplayError, ReplayOutcome, REPLAY_UNIT};
 pub use serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
 pub use exec::{
     Budget, CancelToken, ExecError, Fault, FaultInjector, FaultKind, FaultPlan, Guard,
-    GuardSnapshot, RepAccess, Resource, RetryPolicy, StateAccess,
+    GuardSnapshot, RepAccess, Resource, RetryPolicy, SelectionRecorder, StateAccess,
 };
 pub use kep::key_equivalent_partition;
 pub use maintain::{MaintenanceOutcome, StateIndex};

@@ -21,7 +21,7 @@ use idr_obs::{TraceEvent, TraceHandle};
 use idr_relation::exec::{ExecError, Guard, RetryPolicy};
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Tuple, Value};
 
-use crate::exec::{RepAccess, StateAccess};
+use crate::exec::{RepAccess, SelectionRecorder, StateAccess};
 use crate::recognition::IrScheme;
 use crate::rep::KeRep;
 
@@ -235,8 +235,9 @@ fn key_values(k: AttrSet, t: &Tuple) -> Option<Box<[Value]>> {
 }
 
 /// One single-tuple conjunctive selection issued by Algorithm 4 — the
-/// `σ_Φ(π_X(Rᵢ))` objects of the ctm definition (§2.7). A trace of these
-/// lets tests verify the *definedness* condition: every constant in a
+/// `σ_Φ(π_X(Rᵢ))` objects of the ctm definition (§2.7). Wrap the index in
+/// a [`SelectionRecorder`] to log them from a run of [`algorithm5`]. The
+/// log lets tests verify the *definedness* condition: every constant in a
 /// selection formula was either in the inserted tuple or returned by an
 /// earlier selection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,77 +250,6 @@ pub struct SelectionStep {
     pub values: Vec<Value>,
     /// The retrieved tuple, if the selection was nonempty.
     pub result: Option<Tuple>,
-}
-
-/// Algorithm 4 with a full selection trace (see [`SelectionStep`]).
-/// Diagnostic-only: runs unmetered against the concrete in-memory index.
-pub fn algorithm4_traced(
-    idx: &StateIndex,
-    t_on_k: &Tuple,
-    stats: &mut MaintenanceStats,
-    trace: &mut Vec<SelectionStep>,
-) -> Option<Tuple> {
-    let mut t = t_on_k.clone();
-    let mut c = t.attrs();
-    loop {
-        let mut extended = false;
-        for pos in 0..idx.members.len() {
-            let (scheme_idx, attrs, ref keys) = idx.members[pos];
-            if attrs.is_subset(c) {
-                continue;
-            }
-            for (kpos, k) in keys.iter().enumerate() {
-                if !k.is_subset(c) {
-                    continue;
-                }
-                stats.lookups += 1;
-                let hit = idx.lookup(pos, kpos, &t).cloned();
-                trace.push(SelectionStep {
-                    scheme: scheme_idx,
-                    key: *k,
-                    values: k.iter().map(|a| t.value(a)).collect(),
-                    result: hit.clone(),
-                });
-                if let Some(p) = hit {
-                    t = t.join(&p)?;
-                    c = t.attrs();
-                    extended = true;
-                    break;
-                }
-            }
-            if extended {
-                break;
-            }
-        }
-        if !extended {
-            return Some(t);
-        }
-    }
-}
-
-/// Algorithm 5 with a full selection trace. Diagnostic-only: runs
-/// unmetered against the concrete in-memory index.
-pub fn algorithm5_traced(
-    scheme: &DatabaseScheme,
-    idx: &StateIndex,
-    si: usize,
-    t: &Tuple,
-) -> (MaintenanceOutcome, MaintenanceStats, Vec<SelectionStep>) {
-    let mut stats = MaintenanceStats::default();
-    let mut trace = Vec::new();
-    let mut q = t.clone();
-    for &k in scheme.scheme(si).keys() {
-        stats.keys_processed += 1;
-        let probe = t.project(k);
-        let Some(extended) = algorithm4_traced(idx, &probe, &mut stats, &mut trace) else {
-            return (MaintenanceOutcome::Inconsistent, stats, trace);
-        };
-        match q.join(&extended) {
-            Some(joined) => q = joined,
-            None => return (MaintenanceOutcome::Inconsistent, stats, trace),
-        }
-    }
-    (MaintenanceOutcome::Consistent(q), stats, trace)
 }
 
 /// Algorithm 4: extends a tuple on a key `K` as far as the state allows —
@@ -703,9 +633,9 @@ impl CtmMaintainer {
 
     /// Installs a tracer: every subsequent [`insert`](CtmMaintainer::insert)
     /// emits one [`TraceEvent::SelectionPerformed`] per single-tuple
-    /// selection Algorithm 5 issued (replayed through
-    /// [`algorithm5_traced`], which is deterministic and agrees with the
-    /// metered run) and a closing [`TraceEvent::InsertApplied`].
+    /// selection Algorithm 5 completed (logged by a
+    /// [`SelectionRecorder`] around the block index) and a closing
+    /// [`TraceEvent::InsertApplied`].
     #[must_use]
     pub fn with_tracer(mut self, trace: TraceHandle) -> Self {
         self.trace = trace;
@@ -724,14 +654,11 @@ impl CtmMaintainer {
         retry: &RetryPolicy,
     ) -> Result<(MaintenanceOutcome, MaintenanceStats), ExecError> {
         let b = self.ir.block_of[scheme_idx];
-        let (outcome, stats) =
-            algorithm5(&self.scheme, &self.indexes[b], scheme_idx, &t, guard, retry)?;
-        if self.trace.enabled() {
-            // Replay the decision unmetered purely for the selection
-            // trace: Algorithm 5 is deterministic, so the replay issues
-            // exactly the selections the metered run just paid for.
-            let (_, _, steps) = algorithm5_traced(&self.scheme, &self.indexes[b], scheme_idx, &t);
-            for step in &steps {
+        let idx = &self.indexes[b];
+        let (outcome, stats) = if self.trace.enabled() {
+            let recorder = SelectionRecorder::new(idx);
+            let verdict = algorithm5(&self.scheme, &recorder, scheme_idx, &t, guard, retry)?;
+            for step in recorder.into_steps() {
                 self.trace.emit_with(|| TraceEvent::SelectionPerformed {
                     relation: Arc::from(self.scheme.scheme(step.scheme).name()),
                     found: step.result.is_some(),
@@ -739,9 +666,12 @@ impl CtmMaintainer {
             }
             self.trace.emit_with(|| TraceEvent::InsertApplied {
                 relation: Arc::from(self.scheme.scheme(scheme_idx).name()),
-                accepted: outcome.is_consistent(),
+                accepted: verdict.0.is_consistent(),
             });
-        }
+            verdict
+        } else {
+            algorithm5(&self.scheme, idx, scheme_idx, &t, guard, retry)?
+        };
         if outcome.is_consistent() {
             let pos = self.indexes[b]
                 .member_pos(scheme_idx)
@@ -930,6 +860,51 @@ mod tests {
             (u.attr_of("C"), sym.intern("c")),
         ]);
         assert!(m.insert(2, good, &g, &rp).unwrap().0.is_consistent());
+    }
+
+    #[test]
+    fn recorder_logs_each_completed_selection_once() {
+        use crate::exec::{FaultInjector, FaultKind, FaultPlan};
+        let db = SchemeBuilder::new("ABC")
+            .scheme("S1", "AB", ["A", "B"])
+            .scheme("S2", "BC", ["B", "C"])
+            .scheme("S3", "AC", ["A", "C"])
+            .build()
+            .unwrap();
+        let mut sym = SymbolTable::new();
+        let state = state_of(
+            &db,
+            &mut sym,
+            &[
+                ("S1", &[("A", "a"), ("B", "b")]),
+                ("S2", &[("B", "b"), ("C", "c")]),
+            ],
+        )
+        .unwrap();
+        let idx = StateIndex::build(&db, &[0, 1, 2], &state).unwrap();
+        let u = db.universe();
+        let t = Tuple::from_pairs([
+            (u.attr_of("A"), sym.intern("a")),
+            (u.attr_of("C"), sym.intern("c")),
+        ]);
+        let (g, rp) = ok();
+        let clean = SelectionRecorder::new(&idx);
+        let (outcome, stats) = algorithm5(&db, &clean, 2, &t, &g, &rp).unwrap();
+        assert!(outcome.is_consistent());
+        let steps = clean.into_steps();
+        assert_eq!(steps.len(), stats.lookups);
+        assert_eq!(steps[0].scheme, 0);
+        assert_eq!(steps[0].values, vec![sym.intern("a")]);
+        assert!(steps[0].result.is_some());
+
+        // A transient fault on the first selection, retried: the faulted
+        // call records nothing, so the log equals the fault-free one.
+        let inj = FaultInjector::new(&idx, FaultPlan::nth(1, FaultKind::Transient));
+        let flaky = SelectionRecorder::new(&inj);
+        let (retried, _) = algorithm5(&db, &flaky, 2, &t, &g, &RetryPolicy::retries(1)).unwrap();
+        assert_eq!(retried, outcome);
+        assert_eq!(inj.calls() as usize, steps.len() + 1);
+        assert_eq!(flaky.into_steps(), steps);
     }
 
     #[test]

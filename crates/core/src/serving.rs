@@ -860,6 +860,12 @@ impl<'e> WriteHandle<'e> {
         self.engine
     }
 
+    /// Whether the hub has a durability sink attached
+    /// ([`Hub::attach_sink`]), so that this handle's writes are logged.
+    pub fn has_sink(&self) -> bool {
+        self.shared.sink.get().is_some()
+    }
+
     /// A hub facade over the same shared state (for queries, explain,
     /// verdicts). Cheap — an `Arc` clone.
     fn hub(&self) -> Hub<'e> {

@@ -11,9 +11,12 @@
 //! — one `key=value` line for `--trace=text` — and
 //! [`to_json`](TraceEvent::to_json) — one single-line JSON object with a
 //! `"type"` discriminator for `--trace=json` and the golden-trace suite.
-//! Neither rendering includes clocks, addresses or other
-//! run-dependent data, so traces are byte-stable across runs.
+//! Both are loops over one per-variant list of `(name, value)` fields,
+//! so a variant's shape is written once. Neither rendering includes
+//! clocks, addresses or other run-dependent data, so traces are
+//! byte-stable across runs.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::json::JsonWriter;
@@ -267,400 +270,278 @@ pub enum TraceEvent {
     },
 }
 
+/// One field value of a [`TraceEvent`], as both renderings see it.
+#[derive(Clone, Copy, Debug)]
+enum Field<'a> {
+    /// A pre-rendered label, bare in text (`relation=R1`).
+    Label(&'a str),
+    /// Free text (a rendered trip or OS error), quoted with `{:?}` in
+    /// text.
+    Text(&'a str),
+    /// A count, index, epoch or duration.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// Two row indexes: `(a,b)` in text, `[a,b]` in JSON.
+    Pair(u32, u32),
+}
+
+/// A `usize` count as a field value.
+fn n(v: usize) -> Field<'static> {
+    Field::U64(v as u64)
+}
+
 impl TraceEvent {
+    /// The event's kind and its `(name, value)` fields in rendering
+    /// order: the one place each variant's shape is written down.
+    fn describe(&self) -> (&'static str, Vec<(&'static str, Field<'_>)>) {
+        use Field::{Bool, Label, Pair, Text, U64};
+        match self {
+            TraceEvent::ChaseStarted { scope, rows, fds } => (
+                "chase_started",
+                vec![
+                    ("scope", Label(scope)),
+                    ("rows", n(*rows)),
+                    ("fds", n(*fds)),
+                ],
+            ),
+            TraceEvent::FdRuleFired {
+                fd,
+                column,
+                rows,
+                dirtied,
+            } => (
+                "fd_rule_fired",
+                vec![
+                    ("fd", Label(fd)),
+                    ("column", Label(column)),
+                    ("rows", Pair(rows.0, rows.1)),
+                    ("dirtied", n(*dirtied)),
+                ],
+            ),
+            TraceEvent::RowsDirtied { scope, count } => (
+                "rows_dirtied",
+                vec![("scope", Label(scope)), ("count", n(*count))],
+            ),
+            TraceEvent::BlockEvaluated {
+                block,
+                consistent,
+                passes,
+                rule_applications,
+            } => (
+                "block_evaluated",
+                vec![
+                    ("block", n(*block)),
+                    ("consistent", Bool(*consistent)),
+                    ("passes", n(*passes)),
+                    ("rule_applications", n(*rule_applications)),
+                ],
+            ),
+            TraceEvent::BudgetTrip { detail } => ("budget_trip", vec![("detail", Text(detail))]),
+            TraceEvent::StateRejected {
+                violating_fd,
+                column,
+                witness_rows,
+            } => (
+                "state_rejected",
+                vec![
+                    ("violating_fd", Label(violating_fd)),
+                    ("column", Label(column)),
+                    ("witness_rows", Pair(witness_rows.0, witness_rows.1)),
+                ],
+            ),
+            TraceEvent::SessionBuilt { blocks, consistent } => (
+                "session_built",
+                vec![("blocks", n(*blocks)), ("consistent", Bool(*consistent))],
+            ),
+            TraceEvent::InsertApplied { relation, accepted } => (
+                "insert_applied",
+                vec![("relation", Label(relation)), ("accepted", Bool(*accepted))],
+            ),
+            TraceEvent::DeleteApplied { relation, removed } => (
+                "delete_applied",
+                vec![("relation", Label(relation)), ("removed", Bool(*removed))],
+            ),
+            TraceEvent::QueryAnswered {
+                attrs,
+                method,
+                tuples,
+            } => (
+                "query_answered",
+                vec![
+                    ("attrs", Label(attrs)),
+                    ("method", Label(method)),
+                    ("tuples", n(*tuples)),
+                ],
+            ),
+            TraceEvent::RecognitionDone { accepted, blocks } => (
+                "recognition_done",
+                vec![("accepted", Bool(*accepted)), ("blocks", n(*blocks))],
+            ),
+            TraceEvent::KepComputed { blocks, largest } => (
+                "kep_computed",
+                vec![("blocks", n(*blocks)), ("largest", n(*largest))],
+            ),
+            TraceEvent::SelectionPerformed { relation, found } => (
+                "selection_performed",
+                vec![("relation", Label(relation)), ("found", Bool(*found))],
+            ),
+            TraceEvent::WalAppended { verb, bytes } => (
+                "wal_appended",
+                vec![("verb", Label(verb)), ("bytes", n(*bytes))],
+            ),
+            TraceEvent::SnapshotWritten { epoch, tuples } => (
+                "snapshot_written",
+                vec![("epoch", U64(*epoch)), ("tuples", n(*tuples))],
+            ),
+            TraceEvent::CompactionSkipped { path, error } => (
+                "compaction_skipped",
+                vec![("path", Label(path)), ("error", Text(error))],
+            ),
+            TraceEvent::SyncOpsShipped {
+                src,
+                dst,
+                origin,
+                from,
+                count,
+            } => (
+                "sync_ops_shipped",
+                vec![
+                    ("src", n(*src)),
+                    ("dst", n(*dst)),
+                    ("origin", n(*origin)),
+                    ("from", U64(*from)),
+                    ("count", n(*count)),
+                ],
+            ),
+            TraceEvent::SyncRoundCompleted {
+                round,
+                messages,
+                in_sync,
+            } => (
+                "sync_round_completed",
+                vec![
+                    ("round", n(*round)),
+                    ("messages", n(*messages)),
+                    ("in_sync", Bool(*in_sync)),
+                ],
+            ),
+            TraceEvent::SyncReplicaCrashed { replica, step } => (
+                "sync_replica_crashed",
+                vec![("replica", n(*replica)), ("step", Label(step))],
+            ),
+            TraceEvent::SyncConverged {
+                rounds,
+                ops_shipped,
+            } => (
+                "sync_converged",
+                vec![("rounds", n(*rounds)), ("ops_shipped", n(*ops_shipped))],
+            ),
+            TraceEvent::RecoveryReplayed {
+                epoch,
+                records,
+                replayed,
+                torn_bytes,
+            } => (
+                "recovery_replayed",
+                vec![
+                    ("epoch", U64(*epoch)),
+                    ("records", n(*records)),
+                    ("replayed", n(*replayed)),
+                    ("torn_bytes", n(*torn_bytes)),
+                ],
+            ),
+            TraceEvent::EpochPublished {
+                epoch,
+                tuples,
+                consistent,
+            } => (
+                "epoch_published",
+                vec![
+                    ("epoch", U64(*epoch)),
+                    ("tuples", n(*tuples)),
+                    ("consistent", Bool(*consistent)),
+                ],
+            ),
+            TraceEvent::GroupCommitted { ops, bytes } => (
+                "group_committed",
+                vec![("ops", n(*ops)), ("bytes", n(*bytes))],
+            ),
+            TraceEvent::BatchApplied {
+                ops,
+                applied,
+                blocks,
+            } => (
+                "batch_applied",
+                vec![
+                    ("ops", n(*ops)),
+                    ("applied", n(*applied)),
+                    ("blocks", n(*blocks)),
+                ],
+            ),
+            TraceEvent::OpTimeline {
+                verb,
+                op,
+                total_us,
+                enqueue_us,
+                lane_acquire_us,
+                wal_append_us,
+                batch_wait_us,
+                fsync_us,
+                apply_us,
+                publish_us,
+            } => (
+                "op_timeline",
+                vec![
+                    ("verb", Label(verb)),
+                    ("op", U64(*op)),
+                    ("total_us", U64(*total_us)),
+                    ("enqueue_us", U64(*enqueue_us)),
+                    ("lane_acquire_us", U64(*lane_acquire_us)),
+                    ("wal_append_us", U64(*wal_append_us)),
+                    ("batch_wait_us", U64(*batch_wait_us)),
+                    ("fsync_us", U64(*fsync_us)),
+                    ("apply_us", U64(*apply_us)),
+                    ("publish_us", U64(*publish_us)),
+                ],
+            ),
+        }
+    }
+
     /// The snake-case discriminator used by both renderings.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ChaseStarted { .. } => "chase_started",
-            TraceEvent::FdRuleFired { .. } => "fd_rule_fired",
-            TraceEvent::RowsDirtied { .. } => "rows_dirtied",
-            TraceEvent::BlockEvaluated { .. } => "block_evaluated",
-            TraceEvent::BudgetTrip { .. } => "budget_trip",
-            TraceEvent::StateRejected { .. } => "state_rejected",
-            TraceEvent::SessionBuilt { .. } => "session_built",
-            TraceEvent::InsertApplied { .. } => "insert_applied",
-            TraceEvent::DeleteApplied { .. } => "delete_applied",
-            TraceEvent::QueryAnswered { .. } => "query_answered",
-            TraceEvent::RecognitionDone { .. } => "recognition_done",
-            TraceEvent::KepComputed { .. } => "kep_computed",
-            TraceEvent::SelectionPerformed { .. } => "selection_performed",
-            TraceEvent::WalAppended { .. } => "wal_appended",
-            TraceEvent::SnapshotWritten { .. } => "snapshot_written",
-            TraceEvent::CompactionSkipped { .. } => "compaction_skipped",
-            TraceEvent::SyncOpsShipped { .. } => "sync_ops_shipped",
-            TraceEvent::SyncRoundCompleted { .. } => "sync_round_completed",
-            TraceEvent::SyncReplicaCrashed { .. } => "sync_replica_crashed",
-            TraceEvent::SyncConverged { .. } => "sync_converged",
-            TraceEvent::RecoveryReplayed { .. } => "recovery_replayed",
-            TraceEvent::EpochPublished { .. } => "epoch_published",
-            TraceEvent::GroupCommitted { .. } => "group_committed",
-            TraceEvent::BatchApplied { .. } => "batch_applied",
-            TraceEvent::OpTimeline { .. } => "op_timeline",
-        }
+        self.describe().0
     }
 
     /// One `kind key=value ...` line for `--trace=text`.
     pub fn render_text(&self) -> String {
-        match self {
-            TraceEvent::ChaseStarted { scope, rows, fds } => {
-                format!("chase_started scope={scope} rows={rows} fds={fds}")
-            }
-            TraceEvent::FdRuleFired {
-                fd,
-                column,
-                rows,
-                dirtied,
-            } => format!(
-                "fd_rule_fired fd={fd} column={column} rows=({},{}) dirtied={dirtied}",
-                rows.0, rows.1
-            ),
-            TraceEvent::RowsDirtied { scope, count } => {
-                format!("rows_dirtied scope={scope} count={count}")
-            }
-            TraceEvent::BlockEvaluated {
-                block,
-                consistent,
-                passes,
-                rule_applications,
-            } => format!(
-                "block_evaluated block={block} consistent={consistent} passes={passes} rule_applications={rule_applications}"
-            ),
-            TraceEvent::BudgetTrip { detail } => format!("budget_trip detail={detail:?}"),
-            TraceEvent::StateRejected {
-                violating_fd,
-                column,
-                witness_rows,
-            } => format!(
-                "state_rejected violating_fd={violating_fd} column={column} witness_rows=({},{})",
-                witness_rows.0, witness_rows.1
-            ),
-            TraceEvent::SessionBuilt { blocks, consistent } => {
-                format!("session_built blocks={blocks} consistent={consistent}")
-            }
-            TraceEvent::InsertApplied { relation, accepted } => {
-                format!("insert_applied relation={relation} accepted={accepted}")
-            }
-            TraceEvent::DeleteApplied { relation, removed } => {
-                format!("delete_applied relation={relation} removed={removed}")
-            }
-            TraceEvent::QueryAnswered {
-                attrs,
-                method,
-                tuples,
-            } => format!("query_answered attrs={attrs} method={method} tuples={tuples}"),
-            TraceEvent::RecognitionDone { accepted, blocks } => {
-                format!("recognition_done accepted={accepted} blocks={blocks}")
-            }
-            TraceEvent::KepComputed { blocks, largest } => {
-                format!("kep_computed blocks={blocks} largest={largest}")
-            }
-            TraceEvent::SelectionPerformed { relation, found } => {
-                format!("selection_performed relation={relation} found={found}")
-            }
-            TraceEvent::WalAppended { verb, bytes } => {
-                format!("wal_appended verb={verb} bytes={bytes}")
-            }
-            TraceEvent::SnapshotWritten { epoch, tuples } => {
-                format!("snapshot_written epoch={epoch} tuples={tuples}")
-            }
-            TraceEvent::CompactionSkipped { path, error } => {
-                format!("compaction_skipped path={path} error={error:?}")
-            }
-            TraceEvent::SyncOpsShipped {
-                src,
-                dst,
-                origin,
-                from,
-                count,
-            } => format!(
-                "sync_ops_shipped src={src} dst={dst} origin={origin} from={from} count={count}"
-            ),
-            TraceEvent::SyncRoundCompleted {
-                round,
-                messages,
-                in_sync,
-            } => format!("sync_round_completed round={round} messages={messages} in_sync={in_sync}"),
-            TraceEvent::SyncReplicaCrashed { replica, step } => {
-                format!("sync_replica_crashed replica={replica} step={step}")
-            }
-            TraceEvent::SyncConverged { rounds, ops_shipped } => {
-                format!("sync_converged rounds={rounds} ops_shipped={ops_shipped}")
-            }
-            TraceEvent::RecoveryReplayed {
-                epoch,
-                records,
-                replayed,
-                torn_bytes,
-            } => format!(
-                "recovery_replayed epoch={epoch} records={records} replayed={replayed} torn_bytes={torn_bytes}"
-            ),
-            TraceEvent::EpochPublished {
-                epoch,
-                tuples,
-                consistent,
-            } => format!("epoch_published epoch={epoch} tuples={tuples} consistent={consistent}"),
-            TraceEvent::GroupCommitted { ops, bytes } => {
-                format!("group_committed ops={ops} bytes={bytes}")
-            }
-            TraceEvent::BatchApplied {
-                ops,
-                applied,
-                blocks,
-            } => format!("batch_applied ops={ops} applied={applied} blocks={blocks}"),
-            TraceEvent::OpTimeline {
-                verb,
-                op,
-                total_us,
-                enqueue_us,
-                lane_acquire_us,
-                wal_append_us,
-                batch_wait_us,
-                fsync_us,
-                apply_us,
-                publish_us,
-            } => format!(
-                "op_timeline verb={verb} op={op} total_us={total_us} enqueue_us={enqueue_us} lane_acquire_us={lane_acquire_us} wal_append_us={wal_append_us} batch_wait_us={batch_wait_us} fsync_us={fsync_us} apply_us={apply_us} publish_us={publish_us}"
-            ),
+        let (kind, fields) = self.describe();
+        let mut out = String::from(kind);
+        for (name, value) in fields {
+            let _ = match value {
+                Field::Label(s) => write!(out, " {name}={s}"),
+                Field::Text(s) => write!(out, " {name}={s:?}"),
+                Field::U64(v) => write!(out, " {name}={v}"),
+                Field::Bool(b) => write!(out, " {name}={b}"),
+                Field::Pair(a, b) => write!(out, " {name}=({a},{b})"),
+            };
         }
+        out
     }
 
     /// One single-line JSON object with a `"type"` discriminator.
     pub fn to_json(&self) -> String {
+        let (kind, fields) = self.describe();
         let mut w = JsonWriter::new();
-        w.begin_object().key("type").string(self.kind());
-        match self {
-            TraceEvent::ChaseStarted { scope, rows, fds } => {
-                w.key("scope")
-                    .string(scope)
-                    .key("rows")
-                    .u64(*rows as u64)
-                    .key("fds")
-                    .u64(*fds as u64);
-            }
-            TraceEvent::FdRuleFired {
-                fd,
-                column,
-                rows,
-                dirtied,
-            } => {
-                w.key("fd").string(fd).key("column").string(column);
-                w.key("rows")
-                    .begin_array()
-                    .u64(rows.0 as u64)
-                    .u64(rows.1 as u64)
-                    .end_array();
-                w.key("dirtied").u64(*dirtied as u64);
-            }
-            TraceEvent::RowsDirtied { scope, count } => {
-                w.key("scope")
-                    .string(scope)
-                    .key("count")
-                    .u64(*count as u64);
-            }
-            TraceEvent::BlockEvaluated {
-                block,
-                consistent,
-                passes,
-                rule_applications,
-            } => {
-                w.key("block")
-                    .u64(*block as u64)
-                    .key("consistent")
-                    .bool(*consistent)
-                    .key("passes")
-                    .u64(*passes as u64)
-                    .key("rule_applications")
-                    .u64(*rule_applications as u64);
-            }
-            TraceEvent::BudgetTrip { detail } => {
-                w.key("detail").string(detail);
-            }
-            TraceEvent::StateRejected {
-                violating_fd,
-                column,
-                witness_rows,
-            } => {
-                w.key("violating_fd")
-                    .string(violating_fd)
-                    .key("column")
-                    .string(column);
-                w.key("witness_rows")
-                    .begin_array()
-                    .u64(witness_rows.0 as u64)
-                    .u64(witness_rows.1 as u64)
-                    .end_array();
-            }
-            TraceEvent::SessionBuilt { blocks, consistent } => {
-                w.key("blocks")
-                    .u64(*blocks as u64)
-                    .key("consistent")
-                    .bool(*consistent);
-            }
-            TraceEvent::InsertApplied { relation, accepted } => {
-                w.key("relation")
-                    .string(relation)
-                    .key("accepted")
-                    .bool(*accepted);
-            }
-            TraceEvent::DeleteApplied { relation, removed } => {
-                w.key("relation")
-                    .string(relation)
-                    .key("removed")
-                    .bool(*removed);
-            }
-            TraceEvent::QueryAnswered {
-                attrs,
-                method,
-                tuples,
-            } => {
-                w.key("attrs")
-                    .string(attrs)
-                    .key("method")
-                    .string(method)
-                    .key("tuples")
-                    .u64(*tuples as u64);
-            }
-            TraceEvent::RecognitionDone { accepted, blocks } => {
-                w.key("accepted")
-                    .bool(*accepted)
-                    .key("blocks")
-                    .u64(*blocks as u64);
-            }
-            TraceEvent::KepComputed { blocks, largest } => {
-                w.key("blocks")
-                    .u64(*blocks as u64)
-                    .key("largest")
-                    .u64(*largest as u64);
-            }
-            TraceEvent::SelectionPerformed { relation, found } => {
-                w.key("relation")
-                    .string(relation)
-                    .key("found")
-                    .bool(*found);
-            }
-            TraceEvent::WalAppended { verb, bytes } => {
-                w.key("verb").string(verb).key("bytes").u64(*bytes as u64);
-            }
-            TraceEvent::SnapshotWritten { epoch, tuples } => {
-                w.key("epoch").u64(*epoch).key("tuples").u64(*tuples as u64);
-            }
-            TraceEvent::CompactionSkipped { path, error } => {
-                w.key("path").string(path).key("error").string(error);
-            }
-            TraceEvent::SyncOpsShipped {
-                src,
-                dst,
-                origin,
-                from,
-                count,
-            } => {
-                w.key("src")
-                    .u64(*src as u64)
-                    .key("dst")
-                    .u64(*dst as u64)
-                    .key("origin")
-                    .u64(*origin as u64)
-                    .key("from")
-                    .u64(*from)
-                    .key("count")
-                    .u64(*count as u64);
-            }
-            TraceEvent::SyncRoundCompleted {
-                round,
-                messages,
-                in_sync,
-            } => {
-                w.key("round")
-                    .u64(*round as u64)
-                    .key("messages")
-                    .u64(*messages as u64)
-                    .key("in_sync")
-                    .bool(*in_sync);
-            }
-            TraceEvent::SyncReplicaCrashed { replica, step } => {
-                w.key("replica").u64(*replica as u64).key("step").string(step);
-            }
-            TraceEvent::SyncConverged { rounds, ops_shipped } => {
-                w.key("rounds")
-                    .u64(*rounds as u64)
-                    .key("ops_shipped")
-                    .u64(*ops_shipped as u64);
-            }
-            TraceEvent::RecoveryReplayed {
-                epoch,
-                records,
-                replayed,
-                torn_bytes,
-            } => {
-                w.key("epoch")
-                    .u64(*epoch)
-                    .key("records")
-                    .u64(*records as u64)
-                    .key("replayed")
-                    .u64(*replayed as u64)
-                    .key("torn_bytes")
-                    .u64(*torn_bytes as u64);
-            }
-            TraceEvent::EpochPublished {
-                epoch,
-                tuples,
-                consistent,
-            } => {
-                w.key("epoch")
-                    .u64(*epoch)
-                    .key("tuples")
-                    .u64(*tuples as u64)
-                    .key("consistent")
-                    .bool(*consistent);
-            }
-            TraceEvent::GroupCommitted { ops, bytes } => {
-                w.key("ops").u64(*ops as u64).key("bytes").u64(*bytes as u64);
-            }
-            TraceEvent::BatchApplied {
-                ops,
-                applied,
-                blocks,
-            } => {
-                w.key("ops")
-                    .u64(*ops as u64)
-                    .key("applied")
-                    .u64(*applied as u64)
-                    .key("blocks")
-                    .u64(*blocks as u64);
-            }
-            TraceEvent::OpTimeline {
-                verb,
-                op,
-                total_us,
-                enqueue_us,
-                lane_acquire_us,
-                wal_append_us,
-                batch_wait_us,
-                fsync_us,
-                apply_us,
-                publish_us,
-            } => {
-                w.key("verb")
-                    .string(verb)
-                    .key("op")
-                    .u64(*op)
-                    .key("total_us")
-                    .u64(*total_us)
-                    .key("enqueue_us")
-                    .u64(*enqueue_us)
-                    .key("lane_acquire_us")
-                    .u64(*lane_acquire_us)
-                    .key("wal_append_us")
-                    .u64(*wal_append_us)
-                    .key("batch_wait_us")
-                    .u64(*batch_wait_us)
-                    .key("fsync_us")
-                    .u64(*fsync_us)
-                    .key("apply_us")
-                    .u64(*apply_us)
-                    .key("publish_us")
-                    .u64(*publish_us);
-            }
+        w.begin_object().key("type").string(kind);
+        for (name, value) in fields {
+            w.key(name);
+            match value {
+                Field::Label(s) | Field::Text(s) => w.string(s),
+                Field::U64(v) => w.u64(v),
+                Field::Bool(b) => w.bool(b),
+                Field::Pair(a, b) => w.begin_array().u64(a.into()).u64(b.into()).end_array(),
+            };
         }
         w.end_object();
         w.finish()
@@ -671,10 +552,124 @@ impl TraceEvent {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_and_text_render_every_variant() {
+    /// The exact `--trace=text` and `--trace=json` lines of each event
+    /// of [`every_variant`], in order.
+    const GOLDEN: [(&str, &str); 27] = [
+        (
+            r#"chase_started scope=A→B rows=2 fds=1"#,
+            r#"{"type":"chase_started","scope":"A→B","rows":2,"fds":1}"#,
+        ),
+        (
+            r#"fd_rule_fired fd=A→B column=A→B rows=(0,1) dirtied=3"#,
+            r#"{"type":"fd_rule_fired","fd":"A→B","column":"A→B","rows":[0,1],"dirtied":3}"#,
+        ),
+        (
+            r#"rows_dirtied scope=A→B count=3"#,
+            r#"{"type":"rows_dirtied","scope":"A→B","count":3}"#,
+        ),
+        (
+            r#"block_evaluated block=0 consistent=true passes=4 rule_applications=2"#,
+            r#"{"type":"block_evaluated","block":0,"consistent":true,"passes":4,"rule_applications":2}"#,
+        ),
+        (
+            r#"budget_trip detail="A→B""#,
+            r#"{"type":"budget_trip","detail":"A→B"}"#,
+        ),
+        (
+            r#"state_rejected violating_fd=A→B column=A→B witness_rows=(1,2)"#,
+            r#"{"type":"state_rejected","violating_fd":"A→B","column":"A→B","witness_rows":[1,2]}"#,
+        ),
+        (
+            r#"session_built blocks=2 consistent=false"#,
+            r#"{"type":"session_built","blocks":2,"consistent":false}"#,
+        ),
+        (
+            r#"insert_applied relation=A→B accepted=true"#,
+            r#"{"type":"insert_applied","relation":"A→B","accepted":true}"#,
+        ),
+        (
+            r#"delete_applied relation=A→B removed=false"#,
+            r#"{"type":"delete_applied","relation":"A→B","removed":false}"#,
+        ),
+        (
+            r#"query_answered attrs=A→B method=A→B tuples=9"#,
+            r#"{"type":"query_answered","attrs":"A→B","method":"A→B","tuples":9}"#,
+        ),
+        (
+            r#"recognition_done accepted=true blocks=2"#,
+            r#"{"type":"recognition_done","accepted":true,"blocks":2}"#,
+        ),
+        (
+            r#"kep_computed blocks=3 largest=4"#,
+            r#"{"type":"kep_computed","blocks":3,"largest":4}"#,
+        ),
+        (
+            r#"selection_performed relation=A→B found=true"#,
+            r#"{"type":"selection_performed","relation":"A→B","found":true}"#,
+        ),
+        (
+            r#"wal_appended verb=A→B bytes=26"#,
+            r#"{"type":"wal_appended","verb":"A→B","bytes":26}"#,
+        ),
+        (
+            r#"snapshot_written epoch=3 tuples=12"#,
+            r#"{"type":"snapshot_written","epoch":3,"tuples":12}"#,
+        ),
+        (
+            r#"compaction_skipped path=A→B error="A→B""#,
+            r#"{"type":"compaction_skipped","path":"A→B","error":"A→B"}"#,
+        ),
+        (
+            r#"sync_ops_shipped src=0 dst=1 origin=0 from=4 count=2"#,
+            r#"{"type":"sync_ops_shipped","src":0,"dst":1,"origin":0,"from":4,"count":2}"#,
+        ),
+        (
+            r#"sync_round_completed round=5 messages=3 in_sync=false"#,
+            r#"{"type":"sync_round_completed","round":5,"messages":3,"in_sync":false}"#,
+        ),
+        (
+            r#"sync_replica_crashed replica=1 step=A→B"#,
+            r#"{"type":"sync_replica_crashed","replica":1,"step":"A→B"}"#,
+        ),
+        (
+            r#"sync_converged rounds=9 ops_shipped=14"#,
+            r#"{"type":"sync_converged","rounds":9,"ops_shipped":14}"#,
+        ),
+        (
+            r#"recovery_replayed epoch=3 records=7 replayed=7 torn_bytes=11"#,
+            r#"{"type":"recovery_replayed","epoch":3,"records":7,"replayed":7,"torn_bytes":11}"#,
+        ),
+        (
+            r#"epoch_published epoch=4 tuples=20 consistent=true"#,
+            r#"{"type":"epoch_published","epoch":4,"tuples":20,"consistent":true}"#,
+        ),
+        (
+            r#"group_committed ops=3 bytes=96"#,
+            r#"{"type":"group_committed","ops":3,"bytes":96}"#,
+        ),
+        (
+            r#"batch_applied ops=6 applied=5 blocks=2"#,
+            r#"{"type":"batch_applied","ops":6,"applied":5,"blocks":2}"#,
+        ),
+        (
+            r#"op_timeline verb=insert op=12 total_us=480 enqueue_us=30 lane_acquire_us=5 wal_append_us=40 batch_wait_us=180 fsync_us=150 apply_us=60 publish_us=15"#,
+            r#"{"type":"op_timeline","verb":"insert","op":12,"total_us":480,"enqueue_us":30,"lane_acquire_us":5,"wal_append_us":40,"batch_wait_us":180,"fsync_us":150,"apply_us":60,"publish_us":15}"#,
+        ),
+        (
+            r#"budget_trip detail="lookups: spent 3 > limit \"2\"\n""#,
+            r#"{"type":"budget_trip","detail":"lookups: spent 3 > limit \"2\"\n"}"#,
+        ),
+        (
+            r#"compaction_skipped path=d/wal-0.log error="No such file\t(os error 2)""#,
+            r#"{"type":"compaction_skipped","path":"d/wal-0.log","error":"No such file\t(os error 2)"}"#,
+        ),
+    ];
+
+    /// One event of every variant (free-text fields twice: plain and
+    /// with characters that need escaping).
+    fn every_variant() -> Vec<TraceEvent> {
         let label: Arc<str> = Arc::from("A→B");
-        let events = [
+        vec![
             TraceEvent::ChaseStarted {
                 scope: label.clone(),
                 rows: 2,
@@ -794,12 +789,75 @@ mod tests {
                 apply_us: 60,
                 publish_us: 15,
             },
-        ];
-        for e in &events {
-            let json = e.to_json();
-            assert!(json.starts_with(&format!("{{\"type\":\"{}\"", e.kind())), "{json}");
+            // Free text is quoted and escaped in both renderings.
+            TraceEvent::BudgetTrip {
+                detail: Arc::from("lookups: spent 3 > limit \"2\"\n"),
+            },
+            TraceEvent::CompactionSkipped {
+                path: Arc::from("d/wal-0.log"),
+                error: Arc::from("No such file\t(os error 2)"),
+            },
+        ]
+    }
+
+    #[test]
+    fn json_and_text_render_every_variant() {
+        let events = every_variant();
+        assert_eq!(events.len(), GOLDEN.len());
+        for (e, (text, json)) in events.iter().zip(GOLDEN) {
+            assert_eq!(e.render_text(), text);
+            assert_eq!(e.to_json(), json);
+            assert!(
+                json.starts_with(&format!("{{\"type\":\"{}\"", e.kind())),
+                "{json}"
+            );
             assert!(json.ends_with('}'), "{json}");
             assert!(e.render_text().starts_with(e.kind()));
+        }
+    }
+
+    /// Every variant's JSON keys and value types, in order, equal its
+    /// line in `scripts/obs-schema.json` (one event per line there), and
+    /// the schema lists no event the taxonomy lacks.
+    #[test]
+    fn every_variant_matches_the_checked_in_schema() {
+        let schema = include_str!("../../../scripts/obs-schema.json");
+        let events = schema
+            .split("\"events\": {")
+            .nth(1)
+            .and_then(|rest| rest.split("\n  }").next())
+            .expect("schema has an events section");
+        let mut kinds = Vec::new();
+        for e in every_variant() {
+            let (kind, fields) = e.describe();
+            kinds.push(kind);
+            let prefix = format!("\"{kind}\": {{");
+            let line = events
+                .lines()
+                .map(str::trim)
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("{kind} is missing from obs-schema.json"));
+            let body = line[prefix.len()..]
+                .trim_end_matches(',')
+                .trim_end_matches('}');
+            let want: Vec<String> = body.split(", ").map(str::to_string).collect();
+            let got: Vec<String> = fields
+                .iter()
+                .map(|(name, value)| {
+                    let ty = match value {
+                        Field::Label(_) | Field::Text(_) => "string",
+                        Field::U64(_) => "integer",
+                        Field::Bool(_) => "boolean",
+                        Field::Pair(..) => "array",
+                    };
+                    format!("\"{name}\": \"{ty}\"")
+                })
+                .collect();
+            assert_eq!(got, want, "{kind}");
+        }
+        for line in events.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            let kind = line.split('"').nth(1).unwrap_or_default();
+            assert!(kinds.contains(&kind), "schema event {kind} has no variant");
         }
     }
 

@@ -103,9 +103,6 @@ struct GroupCfg {
     /// How long a leader lingers before draining the queue, to let
     /// concurrent appends pile into its batch. Zero: drain immediately.
     window: Duration,
-    /// Emit `group_committed` events and `store.group_*` metrics. Off
-    /// until [`SharedStore::new`] wraps the store.
-    grouping: bool,
     tracer: TraceHandle,
     metrics: Option<Arc<GroupMetrics>>,
 }
@@ -127,9 +124,8 @@ fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl GroupWal {
-    /// Wraps an open writer. Grouping starts disabled (every append is
-    /// its own batch — classic per-op commit); [`SharedStore::new`]
-    /// enables it.
+    /// Wraps an open writer with a zero commit window and no tracer or
+    /// metrics; [`SharedStore::new`] attaches the store's.
     pub fn new(writer: WalWriter) -> GroupWal {
         GroupWal {
             writer: Mutex::new(writer),
@@ -151,7 +147,6 @@ impl GroupWal {
     ) {
         *relock(&self.cfg) = GroupCfg {
             window,
-            grouping: true,
             tracer,
             metrics: metrics.map(|m| Arc::new(GroupMetrics::new(&m))),
         };
@@ -297,20 +292,18 @@ impl GroupWal {
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
                 }
                 let cfg = relock(&self.cfg);
-                if cfg.grouping {
-                    let ops = batch.len();
-                    cfg.tracer
-                        .emit_with(|| TraceEvent::GroupCommitted { ops, bytes });
-                    if let Some(m) = &cfg.metrics {
-                        m.batches.inc();
-                        m.ops.add(ops as u64);
-                        m.batch_size.observe(ops as u64);
-                        if let Some(d) = fsync {
-                            m.fsyncs.inc();
-                            m.fsync_us.observe_duration(d);
-                        }
-                        m.commit_us.observe_duration(t0.elapsed());
+                let ops = batch.len();
+                cfg.tracer
+                    .emit_with(|| TraceEvent::GroupCommitted { ops, bytes });
+                if let Some(m) = &cfg.metrics {
+                    m.batches.inc();
+                    m.ops.add(ops as u64);
+                    m.batch_size.observe(ops as u64);
+                    if let Some(d) = fsync {
+                        m.fsyncs.inc();
+                        m.fsync_us.observe_duration(d);
                     }
+                    m.commit_us.observe_duration(t0.elapsed());
                 }
                 Ok(framed)
             }

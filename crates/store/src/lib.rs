@@ -93,4 +93,4 @@ pub use journal::{JournalFile, JournalRecovery};
 pub use recover::{open, recover, recover_with, replay, Opened, Recovered, RecoveryStats};
 pub use store::Store;
 pub use tempdir::TempDir;
-pub use wal::{SegmentDigest, WalScan, WalWriter};
+pub use wal::{WalScan, WalWriter};

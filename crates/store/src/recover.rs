@@ -231,12 +231,25 @@ pub fn open(
 /// batches of at most [`REPLAY_UNIT`](idr_core::REPLAY_UNIT). Attach
 /// the durability sink only afterwards, so replayed records are neither
 /// logged again nor counted toward the snapshot cadence twice.
+///
+/// # Errors
+///
+/// A writer whose hub already has a sink attached is refused with
+/// [`StoreError::Replay`] before any record applies: the sink would log
+/// the records again, and when it is this store's
+/// [`SharedStore`](crate::SharedStore), logging locks the symbol table
+/// the caller holds for `symbols` and never returns.
 pub fn replay(
     writer: &WriteHandle<'_>,
     symbols: &mut SymbolTable,
     records: &[String],
     stats: &mut RecoveryStats,
 ) -> Result<(), StoreError> {
+    if writer.has_sink() {
+        return Err(StoreError::Replay {
+            detail: "the hub already has a durability sink; replay before attaching it".to_string(),
+        });
+    }
     let guard = Guard::unlimited();
     writer.replay(
         records.iter().map(String::as_str),

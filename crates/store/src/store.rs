@@ -24,7 +24,7 @@ use idr_relation::{DatabaseScheme, DatabaseState, SymbolTable, Tuple};
 use crate::error::StoreError;
 use crate::group::GroupWal;
 use crate::snapshot::{self, SCHEME_FILE};
-use crate::wal::{self, SegmentDigest, WalWriter};
+use crate::wal::WalWriter;
 
 /// An initialised data directory with an open write-ahead log.
 #[derive(Debug)]
@@ -160,44 +160,6 @@ impl Store {
     /// Op records in the open WAL.
     pub fn wal_records(&self) -> u64 {
         self.wal_records
-    }
-
-    /// Summarises every retained WAL segment as a chained digest vector:
-    /// one [`SegmentDigest`] per `wal-<epoch>.log` still on disk, in
-    /// epoch order, each segment's rolling CRC chained from the previous
-    /// segment's. Two stores whose final chain values agree (at equal
-    /// record counts) hold — modulo CRC collisions — the same retained
-    /// op history; replication's anti-entropy compares exactly this
-    /// shape per origin journal.
-    ///
-    /// Compacted epochs are absent by design (their ops live in the
-    /// snapshot); the digest covers what a peer could still ship.
-    pub fn wal_digest(&self) -> Result<Vec<SegmentDigest>, StoreError> {
-        let mut epochs: Vec<u64> = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| StoreError::io("list data dir", &self.dir, e))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(num) = name.strip_prefix("wal-").and_then(|r| r.strip_suffix(".log")) {
-                if let Ok(epoch) = num.parse::<u64>() {
-                    epochs.push(epoch);
-                }
-            }
-        }
-        epochs.sort_unstable();
-        let mut digests = Vec::with_capacity(epochs.len());
-        let mut chain = 0u32;
-        for epoch in epochs {
-            let scan = wal::scan_file(&snapshot::wal_path(&self.dir, epoch))?;
-            chain = wal::chain_of(chain, scan.records.iter().map(String::as_str));
-            digests.push(SegmentDigest {
-                epoch,
-                records: scan.records.len() as u64,
-                chain,
-            });
-        }
-        Ok(digests)
     }
 
     /// Cuts an epoch-`e+1` snapshot of `state` and rotates the WAL: the

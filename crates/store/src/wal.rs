@@ -43,21 +43,6 @@ pub fn encode_record(payload: &str) -> Vec<u8> {
     out
 }
 
-/// One WAL segment summarised for digest-based anti-entropy: its epoch,
-/// its record count, and the chained rolling CRC32 of its payloads
-/// (seeded with the previous segment's chain, so equal chains at equal
-/// record counts imply — modulo CRC collisions — equal op histories).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentDigest {
-    /// The snapshot epoch this segment's WAL is paired with.
-    pub epoch: u64,
-    /// Records in the segment.
-    pub records: u64,
-    /// The chain value after folding every payload of this segment (and,
-    /// transitively, of every earlier segment) into the rolling CRC.
-    pub chain: u32,
-}
-
 /// Folds one record payload into a rolling chain value: the CRC32 of the
 /// previous chain's little-endian bytes followed by the payload. Chained
 /// folding commits each value to the entire payload prefix, which is what
@@ -228,11 +213,6 @@ impl WalWriter {
             .sync_data()
             .map_err(|e| StoreError::io("sync wal append", &self.path, e))?;
         Ok(Some(t0.elapsed()))
-    }
-
-    /// Whether appends fsync (the commit guarantee).
-    pub fn sync_enabled(&self) -> bool {
-        self.sync
     }
 
     /// The file this writer appends to.

@@ -14,9 +14,14 @@
 # For each end-to-end metric it prints the median and interquartile
 # range of both sides, change/parent, and on how many pairs the change
 # was better. A metric whose change median is worse than the parent
-# median by more than its BENCHMARK.json bound is flagged `WORSE`; a
-# side with a failed or incorrect run is reported. The script exits 1
-# if any metric is flagged `WORSE` or any run failed, and 0 otherwise.
+# median by more than its BENCHMARK.json bound is flagged `WORSE`. A
+# metric whose spread (the larger side's IQR divided by the parent
+# median) is wider than its bound is flagged `UNRESOLVED`: the runs
+# cannot tell a change of that size from noise. The one exception is a
+# metric on which every change run beats every parent run. A side with
+# a failed or incorrect run is reported. The script exits 1 if any
+# metric is flagged `WORSE` or `UNRESOLVED` or any run failed, and 0
+# otherwise.
 #
 # The parent's build and data live in the temporary directory, removed
 # on exit. The working tree builds into `.bench_build` and runs in
@@ -92,7 +97,7 @@ change, change_bad = load(change_path)
 print(f"ab: {workload}, parent {rev} vs working tree, {len(parent)} pair(s)")
 print(f"{'metric':<22}{'parent median':>15}{'IQR':>10}{'change median':>15}{'IQR':>10}"
       f"{'change/parent':>15}{'pairs better':>14}")
-worse = []
+worse, unresolved = [], []
 for m in spec:
     name, lower = m["name"], m["better"] == "lower"
     pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -106,15 +111,22 @@ for m in spec:
     ratio = cq[1] / pq[1] if pq[1] else float("inf")
     better = sum(1 for p, c in pairs if (c < p if lower else c > p))
     worse_by = (ratio - 1) if lower else (1 - ratio)
+    spread = max(pq[2] - pq[0], cq[2] - cq[0]) / pq[1] if pq[1] else float("inf")
+    separated = max(cs) < min(ps) if lower else min(cs) > max(ps)
     flag = ""
     if worse_by > m["bound"]:
-        flag = "  WORSE (bound {:.0%})".format(m["bound"])
+        flag += "  WORSE (bound {:.0%})".format(m["bound"])
         worse.append(name)
+    if spread > m["bound"] and not separated:
+        flag += "  UNRESOLVED (spread {:.0%})".format(spread)
+        unresolved.append(name)
     print(f"{name:<22}{pq[1]:>15.4g}{pq[2] - pq[0]:>10.3g}{cq[1]:>15.4g}{cq[2] - cq[0]:>10.3g}"
           f"{ratio:>15.3f}{better:>9}/{len(pairs)}{flag}")
 if parent_bad or change_bad:
     print(f"ab: failed or incorrect runs: parent {parent_bad}, change {change_bad}")
 if worse:
     print(f"ab: worse than the parent past the bound: {', '.join(worse)}")
-sys.exit(1 if worse or parent_bad or change_bad else 0)
+if unresolved:
+    print(f"ab: spread wider than the bound: {', '.join(unresolved)}")
+sys.exit(1 if worse or unresolved or parent_bad or change_bad else 0)
 EOF

@@ -88,7 +88,8 @@ pub use idr_workload as workload;
 pub mod exec {
     pub use idr_core::exec::{
         Budget, CancelToken, ExecError, Fault, FaultInjector, FaultKind, FaultPlan, Guard,
-        GuardSnapshot, RepAccess, Resource, RetryPolicy, StateAccess, DEFAULT_MAX_ENUMERATION,
+        GuardSnapshot, RepAccess, Resource, RetryPolicy, SelectionRecorder, StateAccess,
+        DEFAULT_MAX_ENUMERATION,
     };
 }
 

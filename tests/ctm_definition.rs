@@ -1,5 +1,6 @@
-//! The formal ctm definition of §2.7, checked against Algorithm 5's
-//! actual behaviour:
+//! The formal ctm definition of §2.7, checked against the shipped
+//! Algorithm 5 (`maintain::algorithm5`), whose selections a
+//! `SelectionRecorder` logs as it runs:
 //!
 //! 1. **Single-tuple**: every selection Algorithm 5 issues returns at most
 //!    one tuple (it uses key-equality lookups over locally consistent
@@ -13,11 +14,35 @@
 
 use std::collections::HashSet;
 
-use independence_reducible::core::maintain::{algorithm5_traced, StateIndex};
+use independence_reducible::core::maintain::{
+    algorithm5, MaintenanceStats, SelectionStep, StateIndex,
+};
 use independence_reducible::core::recognition::recognize;
+use independence_reducible::exec::SelectionRecorder;
 use independence_reducible::prelude::*;
 use independence_reducible::workload::generators;
 use independence_reducible::workload::states::{generate, WorkloadConfig};
+
+/// Inserts `t` into scheme `si` with Algorithm 5 over `idx` (unlimited
+/// guard, no retries) and returns its stats and selection trace.
+fn recorded_algorithm5(
+    db: &DatabaseScheme,
+    idx: &StateIndex,
+    si: usize,
+    t: &Tuple,
+) -> (MaintenanceStats, Vec<SelectionStep>) {
+    let recorder = SelectionRecorder::new(idx);
+    let (_, stats) = algorithm5(
+        db,
+        &recorder,
+        si,
+        t,
+        &Guard::unlimited(),
+        &RetryPolicy::none(),
+    )
+    .unwrap();
+    (stats, recorder.into_steps())
+}
 
 fn split_free_families() -> Vec<DatabaseScheme> {
     vec![
@@ -48,7 +73,7 @@ fn selection_sequences_are_defined_on_the_instance() {
         for (i, t) in &w.inserts {
             let b = ir.block_of[*i];
             let idx = StateIndex::build(&db, &ir.partition[b], &w.state).unwrap();
-            let (_, _, trace) = algorithm5_traced(&db, &idx, *i, t);
+            let (_, trace) = recorded_algorithm5(&db, &idx, *i, t);
             // Known constants start as CST(t) and grow with each result.
             let mut known: HashSet<Value> = t.constants().into_iter().collect();
             for (step_no, step) in trace.iter().enumerate() {
@@ -96,7 +121,7 @@ fn trace_length_is_independent_of_state_size() {
                 .project(db.scheme(i).attrs());
                 let b = ir.block_of[i];
                 let idx = StateIndex::build(&db, &ir.partition[b], &w.state).unwrap();
-                let (_, stats, trace) = algorithm5_traced(&db, &idx, i, &t);
+                let (stats, trace) = recorded_algorithm5(&db, &idx, i, &t);
                 assert_eq!(stats.lookups, trace.len());
                 lens.insert(trace.len());
             }
@@ -136,7 +161,7 @@ fn selections_are_single_tuple() {
     for (i, t) in &w.inserts {
         let b = ir.block_of[*i];
         let idx = StateIndex::build(&db, &ir.partition[b], &w.state).unwrap();
-        let (_, _, trace) = algorithm5_traced(&db, &idx, *i, t);
+        let (_, trace) = recorded_algorithm5(&db, &idx, *i, t);
         for step in trace {
             if let Some(p) = step.result {
                 // The returned tuple really matches the formula.

@@ -44,7 +44,9 @@ use independence_reducible::exec::{Budget, Guard};
 use independence_reducible::oracle::crash_fuzz;
 use independence_reducible::prelude::*;
 use independence_reducible::relation::parse::{parse_scheme, parse_tuple_line, render_tuple_line};
-use independence_reducible::store::{recover, wal, SharedStore, Store, StoreError, TempDir};
+use independence_reducible::store::{
+    open, recover, replay, wal, Opened, SharedStore, Store, StoreError, TempDir,
+};
 
 /// The doc-example scheme: two independent single-key relations, enough
 /// to exercise accepts, rejects and deletes without chase surprises.
@@ -583,4 +585,57 @@ fn a_hub_attaches_its_sink_once_and_logs_only_after_it() {
         .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
         .unwrap();
     assert!(durable.attach_sink(store.clone()).is_err());
+}
+
+/// `store::replay` into a hub whose sink is already attached applies
+/// nothing and fails typed. Through the store's own `SharedStore` it
+/// would otherwise hang: the caller holds the store's symbol table for
+/// the replay, and logging the first unit locks that table again. The
+/// body runs on its own thread, joined with a timeout, so a regression
+/// fails instead of hanging the suite.
+#[test]
+fn replay_into_a_hub_with_its_sink_attached_fails_typed() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let dir = TempDir::new("replay-after-attach");
+        let db = scheme();
+        // Two logged writes, then a crash: the WAL tail holds both.
+        let store = shared(Store::init(dir.path(), &db).unwrap());
+        let verdicts = run_ops(&store, &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")]);
+        assert_eq!(verdicts, vec![true, true]);
+        drop(store);
+
+        let Opened {
+            store,
+            snapshot,
+            records,
+            mut stats,
+        } = open(dir.path(), TraceHandle::none(), None).unwrap();
+        let engine = Engine::new(db);
+        let guard = Guard::unlimited();
+        let hub = engine.hub(&snapshot, &guard).unwrap();
+        let store = shared(store);
+        hub.attach_sink(store.clone()).unwrap();
+        let result = {
+            let symbols = store.symbols();
+            let mut symbols = symbols.lock().unwrap();
+            replay(&hub.write_handle(), &mut symbols, &records, &mut stats)
+        };
+        let tuples = hub.read_view().state().total_tuples();
+        let wal_records = store.lock().wal_records();
+        let _ = tx.send((result, tuples, wal_records, stats.replayed));
+    });
+    let got = rx.recv_timeout(Duration::from_secs(60));
+    assert!(
+        !matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "replay into a sink-attached hub hung"
+    );
+    worker.join().expect("the replay thread panicked");
+    let (result, tuples, wal_records, replayed) = got.expect("the replay thread sent its result");
+    assert!(
+        matches!(result, Err(StoreError::Replay { .. })),
+        "{result:?}"
+    );
+    assert_eq!((tuples, replayed), (0, 0), "nothing applied");
+    assert_eq!(wal_records, 2, "nothing logged again");
 }
