@@ -412,7 +412,7 @@ fn serve_run(
     let writer = hub.write_handle();
     std::thread::scope(|s| {
         for c in 0..clients {
-            let writer: WriteHandle<'_> = writer.clone();
+            let writer: WriteHandle = writer.clone();
             let g = &g;
             s.spawn(move || {
                 for b in (c..ops.len()).step_by(clients) {

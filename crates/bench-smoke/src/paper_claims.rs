@@ -231,7 +231,7 @@ pub fn run() -> Vec<Claim> {
                     .expect("unlimited")
                     .expect("coverable through the bridge");
                 let mut got: Vec<Tuple> = expr
-                    .eval(&db, &state)
+                    .eval(&state)
                     .expect("evaluates")
                     .iter()
                     .cloned()
@@ -242,7 +242,7 @@ pub fn run() -> Vec<Claim> {
                 got.sort();
                 want.sort();
                 assert_eq!(got, want, "the Thm 4.1 expression must answer [X] exactly");
-                per_call_us(|| expr.eval(&db, &state).expect("evaluates").len()) / 1e3
+                per_call_us(|| expr.eval(&state).expect("evaluates").len()) / 1e3
             })
             .series("chase_ms", |n| {
                 let (db, state, kd, x) = cross_block(n, 2, 4);

@@ -98,7 +98,6 @@ impl AlgebraicPlan {
     /// unknown to the state).
     fn lookup(
         &self,
-        scheme: &DatabaseScheme,
         state: &DatabaseState,
         k: AttrSet,
         probe: &Tuple,
@@ -116,7 +115,7 @@ impl AlgebraicPlan {
             let selected = expr
                 .clone()
                 .select(formula.clone())
-                .eval(scheme, state)
+                .eval(state)
                 .expect("plan expressions are well-formed");
             debug_assert!(
                 selected.len() <= 1,
@@ -157,7 +156,7 @@ pub fn algorithm2_algebraic(
 
     while let Some(k) = unprocessed.pop() {
         stats.keys_processed += 1;
-        let v: Tuple = match plan.lookup(scheme, state, k, &q, &mut stats, guard)? {
+        let v: Tuple = match plan.lookup(state, k, &q, &mut stats, guard)? {
             Some(p) => p,
             None => q.project(k),
         };
@@ -295,7 +294,7 @@ mod tests {
         let probe = Tuple::from_pairs([(u.attr_of("A"), sym.intern("a"))]);
         let mut stats = MaintenanceStats::default();
         let got = plan
-            .lookup(&db, &state, u.set_of("A"), &probe, &mut stats, &Guard::unlimited())
+            .lookup(&state, u.set_of("A"), &probe, &mut stats, &Guard::unlimited())
             .unwrap()
             .expect("the greatest nonempty selection");
         assert_eq!(got.attrs(), u.set_of("ABCE"));

@@ -3,8 +3,9 @@
 //! [`Engine`] front-loads everything that depends only on the *scheme* —
 //! key dependencies, Algorithm 6 recognition, the full classification,
 //! and (lazily, cached) the Theorem 4.1 chase-free projection
-//! expressions. A [`Hub`] then binds the engine to one database *state*:
-//! it chases the state once at construction and afterwards answers
+//! expressions. A [`Hub`] then binds the engine to one database *state*
+//! (keeping a clone of the engine, which shares its caches): it chases
+//! the state once at construction and afterwards answers
 //! [`is_consistent`](Hub::is_consistent) in O(blocks) and serves writes
 //! through the [`IncrementalChase`] worklist path, so a stream of updates
 //! never re-chases from scratch.
@@ -121,21 +122,32 @@ impl Observability {
     }
 }
 
-/// Scheme-level front end: owns everything derivable from the scheme
-/// alone. Construction runs Algorithm 6 once; classification and the
-/// Theorem 4.1 projection expressions are computed lazily and cached.
+/// Scheme-level front end: everything derivable from the scheme alone.
+/// Construction runs Algorithm 6 once; classification and the Theorem
+/// 4.1 projection expressions are computed lazily and cached.
 ///
-/// The engine is `Sync`: one engine can serve many hubs (and many
-/// threads) concurrently.
-#[derive(Debug)]
+/// The engine is a cheap shared handle: the scheme-level facts and both
+/// caches sit behind one `Arc`, so a clone costs one refcount (plus the
+/// observability handles) and every clone shares the caches. Each
+/// [`Hub`] owns a clone, so a hub outlives the scope that built its
+/// engine. The engine is `Sync`: one engine can serve many hubs (and
+/// many threads) concurrently.
+#[derive(Clone, Debug)]
 pub struct Engine {
+    facts: Arc<SchemeFacts>,
+    parallel: bool,
+    obs: Observability,
+}
+
+/// What an [`Engine`] derives from its scheme, shared by every clone.
+/// None of it changes once built; the two caches only fill.
+#[derive(Debug)]
+struct SchemeFacts {
     scheme: DatabaseScheme,
     kd: KeyDeps,
     recognition: Recognition,
     classification: OnceLock<Classification>,
     expr_cache: Mutex<HashMap<AttrSet, Option<Expr>>>,
-    parallel: bool,
-    obs: Observability,
 }
 
 impl Engine {
@@ -146,11 +158,13 @@ impl Engine {
         let kd = KeyDeps::of(&scheme);
         let recognition = recognize(&scheme, &kd);
         Engine {
-            scheme,
-            kd,
-            recognition,
-            classification: OnceLock::new(),
-            expr_cache: Mutex::new(HashMap::new()),
+            facts: Arc::new(SchemeFacts {
+                scheme,
+                kd,
+                recognition,
+                classification: OnceLock::new(),
+                expr_cache: Mutex::new(HashMap::new()),
+            }),
             parallel: true,
             obs: Observability::default(),
         }
@@ -169,7 +183,7 @@ impl Engine {
     /// `kep_computed` when Algorithm 6 accepted), so a trace always
     /// opens with the scheme's shape.
     pub fn with_observability(self, obs: Observability) -> Self {
-        obs.tracer.emit_with(|| self.recognition.trace_event());
+        obs.tracer.emit_with(|| self.facts.recognition.trace_event());
         if let Some(ir) = self.ir() {
             obs.tracer.emit_with(|| kep::trace_event(&ir.partition));
         }
@@ -194,22 +208,22 @@ impl Engine {
 
     /// The scheme the engine was built from.
     pub fn scheme(&self) -> &DatabaseScheme {
-        &self.scheme
+        &self.facts.scheme
     }
 
     /// The embedded key dependencies.
     pub fn key_deps(&self) -> &KeyDeps {
-        &self.kd
+        &self.facts.kd
     }
 
     /// Algorithm 6's verdict.
     pub fn recognition(&self) -> &Recognition {
-        &self.recognition
+        &self.facts.recognition
     }
 
     /// The IR partition, when Algorithm 6 accepted.
     pub fn ir(&self) -> Option<&IrScheme> {
-        match &self.recognition {
+        match &self.facts.recognition {
             Recognition::Accepted(ir) => Some(ir),
             Recognition::Rejected(_) => None,
         }
@@ -217,13 +231,14 @@ impl Engine {
 
     /// Whether the scheme is independence-reducible.
     pub fn is_independence_reducible(&self) -> bool {
-        self.recognition.is_accepted()
+        self.facts.recognition.is_accepted()
     }
 
     /// The full classification (BCNF, γ-acyclicity, ctm, …), computed on
     /// first use and cached.
     pub fn classification(&self) -> &Classification {
-        self.classification.get_or_init(|| classify(&self.scheme))
+        let f = &self.facts;
+        f.classification.get_or_init(|| classify(&f.scheme))
     }
 
     /// The Theorem 4.1 chase-free expression for the X-total projection
@@ -237,7 +252,7 @@ impl Engine {
         if let Some(e) = self.expr_cache_guard()?.get(&x) {
             return Ok(e.clone());
         }
-        let expr = ir_total_projection_expr(&self.scheme, &self.kd, ir, x, guard)?;
+        let expr = ir_total_projection_expr(&self.facts.scheme, &self.facts.kd, ir, x, guard)?;
         self.expr_cache_guard()?.insert(x, expr.clone());
         Ok(expr)
     }
@@ -251,11 +266,11 @@ impl Engine {
     fn expr_cache_guard(
         &self,
     ) -> Result<std::sync::MutexGuard<'_, HashMap<AttrSet, Option<Expr>>>, ExecError> {
-        match self.expr_cache.lock() {
+        match self.facts.expr_cache.lock() {
             Ok(g) => Ok(g),
             Err(poisoned) => {
                 poisoned.into_inner().clear();
-                self.expr_cache.clear_poison();
+                self.facts.expr_cache.clear_poison();
                 Err(ExecError::Faulted {
                     kind: idr_relation::exec::FaultKind::Permanent,
                     operation: "expression cache poisoned by a panicked evaluation thread \
@@ -275,7 +290,7 @@ impl Engine {
     pub fn inject_expr_cache_panic(&self) {
         let result = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = self.expr_cache.lock().unwrap_or_else(|p| p.into_inner());
+                let _guard = self.facts.expr_cache.lock().unwrap_or_else(|p| p.into_inner());
                 // resume_unwind poisons exactly like panic! but skips the
                 // panic hook, so injection runs don't spam backtraces.
                 std::panic::resume_unwind(Box::new("injected expr-cache panic"));
@@ -310,8 +325,8 @@ impl Engine {
     /// [`ReadView`](crate::ReadView)s. An inconsistent state is *not* an
     /// error — the hub reports it through [`Hub::is_consistent`]. `Err`
     /// means the guard stopped a chase before a verdict.
-    pub fn hub(&self, state: &DatabaseState, guard: &Guard) -> Result<Hub<'_>, ExecError> {
-        Hub::build(self, state, guard)
+    pub fn hub(&self, state: &DatabaseState, guard: &Guard) -> Result<Hub, ExecError> {
+        Hub::build(self.clone(), state, guard)
     }
 
     /// Like [`hub`](Engine::hub), with an owned write-ahead durability
@@ -326,8 +341,8 @@ impl Engine {
         state: &DatabaseState,
         guard: &Guard,
         sink: Arc<dyn DurabilitySink>,
-    ) -> Result<Hub<'_>, ExecError> {
-        let hub = Hub::build(self, state, guard)?;
+    ) -> Result<Hub, ExecError> {
+        let hub = Hub::build(self.clone(), state, guard)?;
         hub.attach_sink(sink)
             .expect("a freshly built hub has no sink");
         Ok(hub)
@@ -351,10 +366,10 @@ impl Engine {
         guard: &Guard,
         trace: TraceHandle,
     ) -> Result<IncrementalChase, ExecError> {
-        let mut e = IncrementalChase::new(self.scheme.universe().len(), &ir.block_fds[b])
+        let mut e = IncrementalChase::new(self.scheme().universe().len(), &ir.block_fds[b])
             .with_observability(
                 trace.clone(),
-                Some(self.scheme.universe()),
+                Some(self.scheme().universe()),
                 &format!("T{}", b + 1),
             )
             .with_provenance(self.obs.provenance);
@@ -378,8 +393,8 @@ impl Engine {
         state: &DatabaseState,
         guard: &Guard,
     ) -> Result<IncrementalChase, ExecError> {
-        let e = IncrementalChase::of_state(&self.scheme, state, self.kd.full())?
-            .with_observability(self.obs.tracer.clone(), Some(self.scheme.universe()), "whole")
+        let e = IncrementalChase::of_state(self.scheme(), state, self.key_deps().full())?
+            .with_observability(self.obs.tracer.clone(), Some(self.scheme().universe()), "whole")
             .with_provenance(self.obs.provenance);
         let e = finish_run(e, guard)?;
         self.obs.tracer.emit_with(|| TraceEvent::BlockEvaluated {
@@ -464,6 +479,24 @@ mod tests {
         assert_eq!(ir.len(), 2);
         assert!(e.classification().independence_reducible.is_some());
         assert_eq!(e.classification().bounded, Some(true));
+    }
+
+    #[test]
+    fn hubs_and_their_handles_share_the_engines_scheme_facts() {
+        // A hub build (as `Replica::refresh` does per op) clones the
+        // engine's `Arc`, not the scheme, partition or caches.
+        let engine = Engine::new(two_block_scheme());
+        let g = Guard::unlimited();
+        let hub = engine
+            .hub(&DatabaseState::empty(engine.scheme()), &g)
+            .unwrap();
+        assert!(Arc::ptr_eq(&engine.facts, &hub.engine().facts));
+        assert!(Arc::ptr_eq(&engine.facts, &hub.write_handle().engine().facts));
+        assert!(Arc::ptr_eq(&engine.facts, &hub.read_view().engine().facts));
+        // So the expression a hub's query caches is the engine's too.
+        let x = engine.scheme().universe().set_of("AB");
+        hub.read_view().total_projection(x, &g).unwrap();
+        assert!(engine.facts.expr_cache.lock().unwrap().contains_key(&x));
     }
 
     #[test]
@@ -723,7 +756,7 @@ mod tests {
             (u.attr_of("A2"), sym.intern("x2")),
         ]);
         let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
-        let present = |v: &ReadView<'_>| v.state().relation(2).contains(&t);
+        let present = |v: &ReadView| v.state().relation(2).contains(&t);
 
         let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
         let err = w.delete(2, &t, &tight).unwrap_err();

@@ -227,7 +227,7 @@ pub fn ir_total_projection(
     guard: &Guard,
 ) -> Result<Relation, ExecError> {
     match ir_total_projection_expr(scheme, kd, ir, x, guard)? {
-        Some(expr) => expr.eval(scheme, state).map_err(|e| ExecError::Faulted {
+        Some(expr) => expr.eval(state).map_err(|e| ExecError::Faulted {
             kind: FaultKind::Permanent,
             operation: format!("relational expression evaluation: {e}"),
             attempts: 1,

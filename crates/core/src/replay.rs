@@ -130,7 +130,7 @@ fn delete_outcome(r: Result<bool, ExecError>) -> Result<ReplayOutcome, ReplayErr
     }
 }
 
-impl WriteHandle<'_> {
+impl WriteHandle {
     /// Replays one logged op line (`insert R1: A=a B=b` /
     /// `delete R1: A=a B=b`) through the write pipeline, re-earning its
     /// verdict. Tuple values are interned through `symbols`, which must

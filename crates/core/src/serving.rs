@@ -18,7 +18,10 @@
 //!   Readers never block writers and never see a half-applied op;
 //! * **durability** is an owned, shared [`DurabilitySink`] — under
 //!   concurrency the sink can coalesce the WAL appends of overlapping
-//!   writers into one fsync (group commit, `idr_store::SharedStore`).
+//!   writers into one fsync (group commit, `idr_store::SharedStore`);
+//! * **the engine** is owned too: the hub keeps a clone of its
+//!   [`Engine`] (one refcount), so no handle borrows anything and a hub
+//!   may outlive the scope that built its engine.
 //!
 //! Because per-block log order equals per-block apply order and
 //! cross-block ops commute, **a serial replay of the log reproduces the
@@ -48,22 +51,25 @@
 //! let writer = hub.write_handle();
 //!
 //! // Two writer threads, one per block — concurrent, serialized per block.
-//! std::thread::scope(|s| {
-//!     for rel in 0..2 {
+//! // A handle owns its share of the hub, engine included, so it moves
+//! // into a plain spawned thread.
+//! let threads: Vec<_> = (0..2)
+//!     .map(|rel| {
 //!         let w = writer.clone();
 //!         let symbols = Arc::clone(&symbols);
-//!         let engine = &engine;
-//!         let guard = &guard;
-//!         s.spawn(move || {
+//!         std::thread::spawn(move || {
 //!             let line = ["R1: A=a B=b", "R2: C=c D=d"][rel];
 //!             let (i, t) = {
 //!                 let mut sym = symbols.lock().unwrap();
-//!                 parse::parse_tuple_line(line, engine.scheme(), &mut sym).unwrap()
+//!                 parse::parse_tuple_line(line, w.engine().scheme(), &mut sym).unwrap()
 //!             };
-//!             assert!(w.insert(i, t, guard).unwrap());
-//!         });
-//!     }
-//! });
+//!             assert!(w.insert(i, t, &Guard::unlimited()).unwrap());
+//!         })
+//!     })
+//!     .collect();
+//! for t in threads {
+//!     t.join().unwrap();
+//! }
 //!
 //! // A read view is an immutable epoch: consistent, stamped, shareable.
 //! let view = hub.read_view();
@@ -134,9 +140,11 @@ impl Share {
     }
 }
 
-/// State shared by every handle of one hub.
+/// State shared by every handle of one hub, and the write path over it.
 #[derive(Debug)]
 struct HubShared {
+    /// The engine this hub serves, owned: every handle reaches it here.
+    engine: Engine,
     slots: Vec<Mutex<Slot>>,
     /// `true` when the scheme is not IR (single whole-state slot).
     whole: bool,
@@ -250,10 +258,10 @@ fn lock_slot(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
 /// hands out cloneable [`WriteHandle`]s (serialized per block, parallel
 /// across blocks) and epoch-stamped [`ReadView`]s. Built by
 /// [`Engine::hub`] / [`Engine::hub_with`]; a durability sink attaches
-/// once, after the build ([`Hub::attach_sink`]).
+/// once, after the build ([`Hub::attach_sink`]). The hub owns a clone of
+/// its engine, so it may outlive the engine it was built from.
 #[derive(Debug)]
-pub struct Hub<'e> {
-    engine: &'e Engine,
+pub struct Hub {
     shared: Arc<HubShared>,
 }
 
@@ -261,38 +269,19 @@ pub struct Hub<'e> {
 /// block's serialized write lane. Many handles (threads) may write
 /// concurrently; ops on the same block serialize, ops on different
 /// blocks run in parallel (Theorem 4.2).
-#[derive(Debug)]
-pub struct WriteHandle<'e> {
-    engine: &'e Engine,
+#[derive(Clone, Debug)]
+pub struct WriteHandle {
     shared: Arc<HubShared>,
-}
-
-impl Clone for WriteHandle<'_> {
-    fn clone(&self) -> Self {
-        WriteHandle {
-            engine: self.engine,
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 /// An immutable reader over one published epoch. Opening a view
 /// publishes the latest consistent cut if writers dirtied the state
 /// since the last publication; the view itself then never changes —
 /// snapshot isolation, not read-your-latest.
-#[derive(Debug)]
-pub struct ReadView<'e> {
-    engine: &'e Engine,
+#[derive(Clone, Debug)]
+pub struct ReadView {
+    engine: Engine,
     snap: Arc<Snapshot>,
-}
-
-impl Clone for ReadView<'_> {
-    fn clone(&self) -> Self {
-        ReadView {
-            engine: self.engine,
-            snap: Arc::clone(&self.snap),
-        }
-    }
 }
 
 /// One op of a framed batch group, applied through
@@ -333,16 +322,16 @@ impl BatchOp {
     }
 }
 
-impl<'e> Hub<'e> {
+impl Hub {
     /// Builds the hub: chases every block (in parallel when the engine
     /// enables it), carves the state into per-block slots, and publishes
     /// epoch 0. Emits the `session_built` event and `session.build*`
     /// metrics.
     pub(crate) fn build(
-        engine: &'e Engine,
+        engine: Engine,
         state: &DatabaseState,
         guard: &Guard,
-    ) -> Result<Hub<'e>, ExecError> {
+    ) -> Result<Hub, ExecError> {
         let t0 = Instant::now();
         let obs = engine.observability();
         let (slots, whole) = match engine.ir() {
@@ -372,7 +361,7 @@ impl<'e> Hub<'e> {
                     // straight at the hub's sink.
                     chase.retarget_trace(obs.tracer.clone());
                     let mut sub = DatabaseState::empty(engine.scheme());
-                    copy_owned(engine, false, b, state, &mut sub);
+                    copy_owned(&engine, false, b, state, &mut sub);
                     slots.push(Mutex::new(Slot {
                         chase,
                         state: sub,
@@ -398,8 +387,8 @@ impl<'e> Hub<'e> {
             .as_ref()
             .map(|m| HubMetrics::new(m, slots.len()));
         let hub = Hub {
-            engine,
             shared: Arc::new(HubShared {
+                engine,
                 whole,
                 publish: Mutex::new(Arc::new(Snapshot {
                     epoch: 0,
@@ -414,6 +403,7 @@ impl<'e> Hub<'e> {
                 slots,
             }),
         };
+        let obs = hub.engine().observability();
         obs.tracer.emit_with(|| TraceEvent::SessionBuilt {
             blocks: hub.shared.slots.len(),
             consistent,
@@ -426,14 +416,14 @@ impl<'e> Hub<'e> {
             m.counter("chase.rule_applications")
                 .add(stats.rule_applications as u64);
             m.counter("chase.passes").add(stats.passes as u64);
-            engine.record_guard_metrics(guard);
+            hub.engine().record_guard_metrics(guard);
         }
         Ok(hub)
     }
 
     /// The engine this hub serves.
-    pub fn engine(&self) -> &'e Engine {
-        self.engine
+    pub fn engine(&self) -> &Engine {
+        &self.shared.engine
     }
 
     /// Attaches the write-ahead durability sink: from now on every write
@@ -452,9 +442,8 @@ impl<'e> Hub<'e> {
 
     /// A new writer over this hub. Cloneable and `Send` — hand one to
     /// each client thread.
-    pub fn write_handle(&self) -> WriteHandle<'e> {
+    pub fn write_handle(&self) -> WriteHandle {
         WriteHandle {
-            engine: self.engine,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -463,19 +452,13 @@ impl<'e> Hub<'e> {
     /// the last publication this first publishes a fresh consistent cut
     /// (briefly locking each block in turn); the returned view is then
     /// immutable.
-    pub fn read_view(&self) -> ReadView<'e> {
-        ReadView {
-            engine: self.engine,
-            snap: publish_snapshot(self.engine, &self.shared),
-        }
+    pub fn read_view(&self) -> ReadView {
+        self.shared.read_view()
     }
 
     /// Whether every block's current substate is consistent.
     pub fn is_consistent(&self) -> bool {
-        self.shared
-            .slots
-            .iter()
-            .all(|s| lock_slot(s).chase.failure().is_none())
+        self.shared.is_consistent()
     }
 
     /// Block indexes whose substate is inconsistent (always `[0]` or
@@ -504,11 +487,7 @@ impl<'e> Hub<'e> {
     /// Provenance of the most recent rejected insert across all writers
     /// (cloned out of the hub — under concurrency a borrow would race).
     pub fn explain_rejection(&self) -> Option<RejectionExplanation> {
-        self.shared
-            .last_rejection
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.shared.explain_rejection()
     }
 
     /// Aggregated chase work across every block tableau since the hub
@@ -525,11 +504,33 @@ impl<'e> Hub<'e> {
         }
         total
     }
+}
+
+impl HubShared {
+    fn read_view(&self) -> ReadView {
+        ReadView {
+            engine: self.engine.clone(),
+            snap: self.publish_snapshot(),
+        }
+    }
+
+    fn is_consistent(&self) -> bool {
+        self.slots
+            .iter()
+            .all(|s| lock_slot(s).chase.failure().is_none())
+    }
+
+    fn explain_rejection(&self) -> Option<RejectionExplanation> {
+        self.last_rejection
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
+    }
 
     /// Routes relation `i` to its slot index.
     fn slot_of(&self, i: usize) -> usize {
         assert!(i < self.engine.scheme().len(), "relation index out of range");
-        if self.shared.whole {
+        if self.whole {
             0
         } else {
             let ir = self.engine.ir().expect("block slots imply an IR partition");
@@ -569,7 +570,7 @@ impl<'e> Hub<'e> {
         // apply order.
         let mut guards: Vec<MutexGuard<'_, Slot>> = by_slot
             .keys()
-            .map(|&si| lock_slot(&self.shared.slots[si]))
+            .map(|&si| lock_slot(&self.slots[si]))
             .collect();
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
@@ -589,7 +590,7 @@ impl<'e> Hub<'e> {
             timeline::stamp_current(Phase::Apply);
             // Phase 2 — write-ahead for the whole unit: one sink call,
             // one group-commit barrier, one fsync.
-            if let Some(d) = self.shared.sink.get() {
+            if let Some(d) = self.sink.get() {
                 let records: Vec<DurableOp<'_>> = ops.iter().map(BatchOp::as_durable).collect();
                 if let Err(e) = d.log_ops(&records) {
                     failure = Some(e);
@@ -607,9 +608,9 @@ impl<'e> Hub<'e> {
         timeline::stamp_current(Phase::WalAppend);
         let applied = verdicts.iter().filter(|&&v| v).count() as u64;
         if applied > 0 {
-            self.shared.stale.store(true, Ordering::Release);
+            self.stale.store(true, Ordering::Release);
         }
-        if let Some(hm) = &self.shared.metrics {
+        if let Some(hm) = &self.metrics {
             let lane_us = lane_t0.elapsed().as_micros() as u64;
             for (&si, idxs) in &by_slot {
                 hm.lane_ops[si].add(idxs.len() as u64);
@@ -620,7 +621,6 @@ impl<'e> Hub<'e> {
         drop(guards);
         if let Some(why) = shares.into_iter().filter_map(|s| s.why).next_back() {
             *self
-                .shared
                 .last_rejection
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(why);
@@ -634,9 +634,9 @@ impl<'e> Hub<'e> {
     ///
     /// A delete edits the substate and retracts the deleted tuple's rows
     /// from the tableau at once, charged to the unit's guard (see
-    /// [`repair`](Hub::repair)). Each maximal run of inserts is chased
+    /// [`repair`](HubShared::repair)). Each maximal run of inserts is chased
     /// into the live tableau as one combined run (see
-    /// [`chase_inserts`](Hub::chase_inserts)); only when a run of several
+    /// [`chase_inserts`](HubShared::chase_inserts)); only when a run of several
     /// turns inconsistent — the combined run cannot name its culprit —
     /// are its inserts re-chased one at a time, in place, to earn their
     /// serial verdicts. An insert that meets a poisoned tableau fails the
@@ -770,7 +770,7 @@ impl<'e> Hub<'e> {
         guard: &Guard,
     ) -> Result<(), ExecError> {
         let repaired = slot.chase.retract(rows, guard)?;
-        if let Some(hm) = &self.shared.metrics {
+        if let Some(hm) = &self.metrics {
             hm.repaired_rows.add(repaired as u64);
         }
         if slot.chase.dead_len() > slot.chase.live_len() {
@@ -809,7 +809,7 @@ impl<'e> Hub<'e> {
     /// poisoned block, compaction and the rollback point. The replaced
     /// tableau's work is kept in `retired`.
     fn rebuild(&self, slot: &mut Slot, si: usize, guard: &Guard) -> Result<(), ExecError> {
-        let fresh = if self.shared.whole {
+        let fresh = if self.whole {
             self.engine.chase_whole(&slot.state, guard)?
         } else {
             let ir = self.engine.ir().expect("block slots imply an IR partition");
@@ -820,7 +820,7 @@ impl<'e> Hub<'e> {
         let old = std::mem::replace(&mut slot.chase, fresh).stats();
         slot.retired.passes += old.passes;
         slot.retired.rule_applications += old.rule_applications;
-        if let Some(hm) = &self.shared.metrics {
+        if let Some(hm) = &self.metrics {
             hm.block_rebuilds.inc();
         }
         Ok(())
@@ -830,7 +830,7 @@ impl<'e> Hub<'e> {
     /// snapshot is due and, if so, quiesces every block and hands over a
     /// consistent cut. Called with no slot lock held.
     fn sink_op_finished(&self, ops: usize) -> Result<(), ExecError> {
-        let Some(sink) = self.shared.sink.get() else {
+        let Some(sink) = self.sink.get() else {
             return Ok(());
         };
         if !sink.op_finished(ops)? {
@@ -841,23 +841,74 @@ impl<'e> Hub<'e> {
         // a unit, so the assembled state covers exactly the logged
         // prefix — the rotation the sink performs is safe.
         let _publish = self
-            .shared
             .publish
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let slots: Vec<_> = self.shared.slots.iter().map(lock_slot).collect();
+        let slots: Vec<_> = self.slots.iter().map(lock_slot).collect();
         let mut state = DatabaseState::empty(self.engine.scheme());
         for (si, s) in slots.iter().enumerate() {
-            copy_owned(self.engine, self.shared.whole, si, &s.state, &mut state);
+            copy_owned(&self.engine, self.whole, si, &s.state, &mut state);
         }
         sink.write_snapshot(&state)
     }
+
+    /// Returns the current snapshot, republishing first when writers
+    /// dirtied the state. The stale flag is cleared *before* the slot
+    /// scan: a writer landing mid-scan re-marks it and the next view
+    /// republishes — at worst a spurious republication, never a lost
+    /// update.
+    fn publish_snapshot(&self) -> Arc<Snapshot> {
+        if !self.stale.load(Ordering::Acquire) {
+            return Arc::clone(
+                &self
+                    .publish
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+        }
+        let mut published = self
+            .publish
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if self.stale.swap(false, Ordering::AcqRel) {
+            let t0 = Instant::now();
+            let mut state = DatabaseState::empty(self.engine.scheme());
+            let mut consistent = true;
+            for (si, s) in self.slots.iter().enumerate() {
+                let slot = lock_slot(s);
+                consistent &= slot.chase.failure().is_none();
+                copy_owned(&self.engine, self.whole, si, &slot.state, &mut state);
+            }
+            let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+            let tuples = state.total_tuples();
+            self.engine
+                .observability()
+                .tracer
+                .emit_with(|| TraceEvent::EpochPublished {
+                    epoch,
+                    tuples,
+                    consistent,
+                });
+            if let Some(hm) = &self.metrics {
+                hm.epochs_published.inc();
+                hm.epoch.set(epoch);
+                hm.epoch_lag.set(0);
+                hm.publish_us.observe_duration(t0.elapsed());
+            }
+            *published = Arc::new(Snapshot {
+                epoch,
+                state,
+                consistent,
+            });
+        }
+        Arc::clone(&published)
+    }
 }
 
-impl<'e> WriteHandle<'e> {
+impl WriteHandle {
     /// The engine behind this handle.
-    pub fn engine(&self) -> &'e Engine {
-        self.engine
+    pub fn engine(&self) -> &Engine {
+        &self.shared.engine
     }
 
     /// Whether the hub has a durability sink attached
@@ -866,16 +917,7 @@ impl<'e> WriteHandle<'e> {
         self.shared.sink.get().is_some()
     }
 
-    /// A hub facade over the same shared state (for queries, explain,
-    /// verdicts). Cheap — an `Arc` clone.
-    fn hub(&self) -> Hub<'e> {
-        Hub {
-            engine: self.engine,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Runs `ops` as one unit through [`Hub::batch_op`] with `tl`
+    /// Runs `ops` as one unit through [`HubShared::batch_op`] with `tl`
     /// installed as the thread's current op, so every pipeline layer
     /// (block lock, WAL, group commit) stamps its phase; then offers the
     /// sink its snapshot point and stamps [`Phase::Publish`].
@@ -886,9 +928,8 @@ impl<'e> WriteHandle<'e> {
         tl: &Arc<OpTimeline>,
     ) -> Result<(Vec<bool>, usize), ExecError> {
         let _cur = timeline::set_current(tl);
-        let hub = self.hub();
-        let out = hub.batch_op(ops, guard)?;
-        hub.sink_op_finished(ops.len())?;
+        let out = self.shared.batch_op(ops, guard)?;
+        self.shared.sink_op_finished(ops.len())?;
         // Publish = the visibility handoff: the unit's effect is marked
         // for the next epoch cut and any due snapshot has been taken.
         tl.stamp(Phase::Publish);
@@ -918,11 +959,11 @@ impl<'e> WriteHandle<'e> {
         let t0 = Instant::now();
         let (verdicts, _) = self.commit(&[BatchOp::Insert { rel: i, t }], guard, tl)?;
         let accepted = verdicts[0];
-        self.engine
+        self.engine()
             .observability()
             .tracer
             .emit_with(|| TraceEvent::InsertApplied {
-                relation: Arc::from(self.engine.scheme().scheme(i).name()),
+                relation: Arc::from(self.engine().scheme().scheme(i).name()),
                 accepted,
             });
         if let Some(hm) = &self.shared.metrics {
@@ -961,11 +1002,11 @@ impl<'e> WriteHandle<'e> {
         };
         let (verdicts, _) = self.commit(std::slice::from_ref(&op), guard, tl)?;
         let removed = verdicts[0];
-        self.engine
+        self.engine()
             .observability()
             .tracer
             .emit_with(|| TraceEvent::DeleteApplied {
-                relation: Arc::from(self.engine.scheme().scheme(i).name()),
+                relation: Arc::from(self.engine().scheme().scheme(i).name()),
                 removed,
             });
         if let Some(hm) = &self.shared.metrics {
@@ -1004,7 +1045,7 @@ impl<'e> WriteHandle<'e> {
     ) -> Result<Vec<bool>, ExecError> {
         let (verdicts, blocks) = self.commit(ops, guard, tl)?;
         let applied = verdicts.iter().filter(|&&v| v).count();
-        let obs = self.engine.observability();
+        let obs = self.engine().observability();
         obs.tracer.emit_with(|| TraceEvent::BatchApplied {
             ops: ops.len(),
             applied,
@@ -1030,18 +1071,18 @@ impl<'e> WriteHandle<'e> {
 
     /// An epoch-stamped read view (see [`Hub::read_view`]) — gives every
     /// writer thread snapshot-isolated queries without a hub reference.
-    pub fn read_view(&self) -> ReadView<'e> {
-        self.hub().read_view()
+    pub fn read_view(&self) -> ReadView {
+        self.shared.read_view()
     }
 
     /// Whether every block's current substate is consistent.
     pub fn is_consistent(&self) -> bool {
-        self.hub().is_consistent()
+        self.shared.is_consistent()
     }
 
     /// Provenance of the most recent rejected insert across all writers.
     pub fn explain_rejection(&self) -> Option<RejectionExplanation> {
-        self.hub().explain_rejection()
+        self.shared.explain_rejection()
     }
 }
 
@@ -1052,10 +1093,10 @@ impl Snapshot {
     }
 }
 
-impl<'e> ReadView<'e> {
+impl ReadView {
     /// The engine behind this view.
-    pub fn engine(&self) -> &'e Engine {
-        self.engine
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// The epoch this view reads — monotone across publications of one
@@ -1089,7 +1130,7 @@ impl<'e> ReadView<'e> {
             return Ok(None);
         }
         let (result, method) = if self.engine.ir().is_some_and(|ir| !ir.is_empty()) {
-            project_ir(self.engine, &self.snap.state, x, guard)?
+            project_ir(&self.engine, &self.snap.state, x, guard)?
         } else {
             (
                 idr_chase::total_projection(
@@ -1102,7 +1143,7 @@ impl<'e> ReadView<'e> {
                 "chase",
             )
         };
-        emit_query(self.engine, x, method, &result, t0, guard);
+        emit_query(&self.engine, x, method, &result, t0, guard);
         result
     }
 }
@@ -1191,55 +1232,6 @@ fn copy_owned(
         let ir = engine.ir().expect("block slots imply an IR partition");
         ir.partition[si].iter().copied().for_each(copy);
     }
-}
-
-/// Returns the current snapshot, republishing first when writers dirtied
-/// the state. The stale flag is cleared *before* the slot scan: a writer
-/// landing mid-scan re-marks it and the next view republishes — at worst
-/// a spurious republication, never a lost update.
-fn publish_snapshot(engine: &Engine, shared: &HubShared) -> Arc<Snapshot> {
-    if !shared.stale.load(Ordering::Acquire) {
-        return Arc::clone(
-            &shared
-                .publish
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-    }
-    let mut published = shared
-        .publish
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if shared.stale.swap(false, Ordering::AcqRel) {
-        let t0 = Instant::now();
-        let mut state = DatabaseState::empty(engine.scheme());
-        let mut consistent = true;
-        for (si, s) in shared.slots.iter().enumerate() {
-            let slot = lock_slot(s);
-            consistent &= slot.chase.failure().is_none();
-            copy_owned(engine, shared.whole, si, &slot.state, &mut state);
-        }
-        let epoch = shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let tuples = state.total_tuples();
-        let obs = engine.observability();
-        obs.tracer.emit_with(|| TraceEvent::EpochPublished {
-            epoch,
-            tuples,
-            consistent,
-        });
-        if let Some(hm) = &shared.metrics {
-            hm.epochs_published.inc();
-            hm.epoch.set(epoch);
-            hm.epoch_lag.set(0);
-            hm.publish_us.observe_duration(t0.elapsed());
-        }
-        *published = Arc::new(Snapshot {
-            epoch,
-            state,
-            consistent,
-        });
-    }
-    Arc::clone(&published)
 }
 
 #[cfg(test)]
@@ -1447,7 +1439,7 @@ mod tests {
         let va = hub_a.read_view();
         let vb = hub_b.read_view();
         assert_eq!(va.is_consistent(), vb.is_consistent());
-        let dump = |v: &ReadView<'_>| {
+        let dump = |v: &ReadView| {
             let mut all: Vec<(usize, Tuple)> =
                 v.state().iter_all().map(|(i, t)| (i, t.clone())).collect();
             all.sort();
@@ -1534,8 +1526,8 @@ mod tests {
 
     /// The old publish, tuple by tuple: the oracle for the whole-relation
     /// copies.
-    fn insert_loop_cut(hub: &Hub<'_>) -> DatabaseState {
-        let mut state = DatabaseState::empty(hub.engine.scheme());
+    fn insert_loop_cut(hub: &Hub) -> DatabaseState {
+        let mut state = DatabaseState::empty(hub.engine().scheme());
         for s in &hub.shared.slots {
             for (i, t) in lock_slot(s).state.iter_all() {
                 state.insert(i, t.clone()).unwrap();

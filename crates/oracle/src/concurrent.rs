@@ -475,8 +475,8 @@ mod tests {
     fn shrink_preserves_the_divergence() {
         let db = idr_workload::generators::chain_scheme(2);
         let mut symbols = SymbolTable::new();
-        let t0 = crate::crash::entity_tuple(&db, &mut symbols, 0).project(db.scheme(0).attrs());
-        let t1 = crate::crash::entity_tuple(&db, &mut symbols, 1).project(db.scheme(1).attrs());
+        let t0 = crate::gen::entity_tuple(&db, &mut symbols, 0).project(db.scheme(0).attrs());
+        let t1 = crate::gen::entity_tuple(&db, &mut symbols, 1).project(db.scheme(1).attrs());
         let lines = vec![
             format!("insert {}", render_tuple_line(&db, &symbols, 0, &t0)),
             format!("insert {}", render_tuple_line(&db, &symbols, 1, &t1)),

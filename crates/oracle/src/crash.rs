@@ -37,6 +37,8 @@ use idr_workload::generators::{
     block_chain_scheme, chain_scheme, cycle_scheme, example2_scheme, split_scheme, star_scheme,
 };
 
+use crate::gen::{corrupt_tuple, entity_tuple};
+
 /// One crash point whose recovery disagreed with the in-memory oracle
 /// (or failed when it should have succeeded).
 #[derive(Clone, Debug)]
@@ -102,32 +104,6 @@ pub(crate) fn gen_scheme(rng: &mut SplitMix64) -> DatabaseScheme {
         4 => block_chain_scheme(2, 3),
         _ => example2_scheme(),
     }
-}
-
-/// The universal tuple of entity `id` (values `<attr>_<id>`).
-pub(crate) fn entity_tuple(db: &DatabaseScheme, symbols: &mut SymbolTable, id: usize) -> Tuple {
-    let u = db.universe();
-    Tuple::from_pairs(
-        u.iter()
-            .map(|a| (a, symbols.intern(&format!("{}_{id}", u.name(a))))),
-    )
-}
-
-/// A key-violating mix of two entities on relation `i` (key from `a`,
-/// non-key from `b`) — the op stream's source of rejected inserts.
-pub(crate) fn corrupt_tuple(
-    db: &DatabaseScheme,
-    symbols: &mut SymbolTable,
-    i: usize,
-    a: usize,
-    b: usize,
-) -> Tuple {
-    let ta = entity_tuple(db, symbols, a);
-    let tb = entity_tuple(db, symbols, b);
-    let key = db.scheme(i).keys()[0];
-    Tuple::from_pairs(db.scheme(i).attrs().iter().map(|at| {
-        (at, if key.contains(at) { ta.value(at) } else { tb.value(at) })
-    }))
 }
 
 /// One durable op: `(is_insert, relation, tuple)`. Shared with the
@@ -210,19 +186,19 @@ pub(crate) fn answer_lines(
 /// Replays `ops` prefixes through a purely in-memory hub, recording
 /// the expected state/verdict/answer after every prefix length.
 fn build_mirror(
-    db: &DatabaseScheme,
+    engine: &Engine,
     ops: &[CrashOp],
     probe: AttrSet,
     symbols: &SymbolTable,
 ) -> Result<Vec<MirrorPoint>, String> {
-    let engine = Engine::new(db.clone());
+    let db = engine.scheme();
     let guard = Guard::unlimited();
     let hub = engine
         .hub(&DatabaseState::empty(db), &guard)
         .map_err(|e| format!("mirror hub: {e}"))?;
     let writer = hub.write_handle();
-    let point = |h: &idr_core::serving::Hub<'_>| -> Result<MirrorPoint, String> {
-        let view = h.read_view();
+    let point = || -> Result<MirrorPoint, String> {
+        let view = hub.read_view();
         let answer = view
             .total_projection(probe, &guard)
             .map_err(|e| format!("mirror query: {e}"))?
@@ -233,7 +209,7 @@ fn build_mirror(
             answer,
         })
     };
-    let mut mirror = vec![point(&hub)?];
+    let mut mirror = vec![point()?];
     for (is_insert, rel, t) in ops {
         if *is_insert {
             writer
@@ -244,7 +220,7 @@ fn build_mirror(
                 .delete(*rel, t, &guard)
                 .map_err(|e| format!("mirror delete: {e}"))?;
         }
-        mirror.push(point(&hub)?);
+        mirror.push(point()?);
     }
     Ok(mirror)
 }
@@ -331,7 +307,7 @@ fn run_case(seed: u64, summary: &mut CrashFuzzSummary) {
     drop(store); // "kill -9": nothing flushed beyond what each op wrote
 
     // --- The in-memory oracle --------------------------------------------
-    let mirror = match build_mirror(&db, &ops, probe, &case_symbols) {
+    let mirror = match build_mirror(&engine, &ops, probe, &case_symbols) {
         Ok(m) => m,
         Err(e) => return fail(0, "setup", e),
     };
@@ -339,7 +315,7 @@ fn run_case(seed: u64, summary: &mut CrashFuzzSummary) {
     // --- Crash at every WAL byte boundary ---------------------------------
     check_all_cuts(
         seed,
-        &db,
+        &engine,
         probe,
         &mirror,
         ops_at_epoch_start,
@@ -353,10 +329,12 @@ fn run_case(seed: u64, summary: &mut CrashFuzzSummary) {
 /// truncates the live WAL at every byte boundary, recovers each prefix
 /// in a scratch dir, and differentially checks state, verdict and a
 /// probe-query answer against `mirror[ops_at_epoch_start + survivors]`.
+/// The answer comes from a hub over the recovered state, built on the
+/// case's `engine`.
 #[allow(clippy::too_many_arguments)]
 fn check_all_cuts(
     seed: u64,
-    db: &DatabaseScheme,
+    engine: &Engine,
     probe: AttrSet,
     mirror: &[MirrorPoint],
     ops_at_epoch_start: usize,
@@ -364,6 +342,7 @@ fn check_all_cuts(
     final_epoch: u64,
     summary: &mut CrashFuzzSummary,
 ) {
+    let db = engine.scheme();
     let guard = Guard::unlimited();
     let mut fail = |crash_point: u64, kind: &str, detail: String| {
         summary.failures.push(CrashFailure {
@@ -433,8 +412,7 @@ fn check_all_cuts(
         }
         // Differential query answer through a fresh hub over the
         // recovered state.
-        let rec_engine = Engine::new(db.clone());
-        let got_answer = rec_engine
+        let got_answer = engine
             .hub(&recovered.state, &guard)
             .and_then(|h| h.read_view().total_projection(probe, &guard))
             .map(|o| o.map(|ts| answer_lines(db, &ts, &rec_symbols)));
@@ -480,11 +458,11 @@ pub fn crash_fuzz(
 /// expected state/verdict/answer after every prefix length — the mirror
 /// the concurrent crash arm cuts against.
 fn build_mirror_from_lines(
-    db: &DatabaseScheme,
+    engine: &Engine,
     lines: &[String],
     probe: AttrSet,
 ) -> Result<Vec<MirrorPoint>, String> {
-    let engine = Engine::new(db.clone());
+    let db = engine.scheme();
     let guard = Guard::unlimited();
     let mut symbols = SymbolTable::new();
     let hub = engine
@@ -609,7 +587,7 @@ fn run_concurrent_case(seed: u64, summary: &mut CrashFuzzSummary) {
         Ok(scan) => scan.records,
         Err(e) => return fail(0, "setup", format!("scan live wal: {e}")),
     };
-    let mirror = match build_mirror_from_lines(&db, &committed, probe) {
+    let mirror = match build_mirror_from_lines(&engine, &committed, probe) {
         Ok(m) => m,
         Err(e) => return fail(0, "setup", e),
     };
@@ -635,7 +613,7 @@ fn run_concurrent_case(seed: u64, summary: &mut CrashFuzzSummary) {
     // --- Crash at every WAL byte boundary (mid-batch cuts included) -------
     check_all_cuts(
         seed,
-        &db,
+        &engine,
         probe,
         &mirror,
         0,

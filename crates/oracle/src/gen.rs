@@ -66,7 +66,7 @@ fn gen_scheme(rng: &mut SplitMix64) -> DatabaseScheme {
 
 /// The corpus-safe universal tuple of entity `id`: values are
 /// `<attr>_<id>` (no `#`, which starts a comment in the fixture format).
-fn entity_tuple(
+pub(crate) fn entity_tuple(
     db: &DatabaseScheme,
     symbols: &mut SymbolTable,
     id: usize,
@@ -81,7 +81,7 @@ fn entity_tuple(
 /// A corrupt tuple for relation `i`: key values from entity `id_a`,
 /// non-key values from entity `id_b` — inconsistent whenever `id_a`'s
 /// fragments elsewhere pin the corrupted attributes.
-fn corrupt_tuple(
+pub(crate) fn corrupt_tuple(
     db: &DatabaseScheme,
     symbols: &mut SymbolTable,
     i: usize,

@@ -135,13 +135,13 @@ fn step_guard(steps: u64) -> Guard {
 pub fn run_case(case: &Case) -> Result<CaseReport, Divergence> {
     let db = &case.db;
     let kd = KeyDeps::of(db);
-    let engine_par = Engine::new(db.clone()).with_parallel(true);
-    let engine_ser = Engine::new(db.clone()).with_parallel(false);
     let unl = Guard::unlimited();
-    let sp = engine_par
+    let sp = Engine::new(db.clone())
+        .with_parallel(true)
         .hub(&case.state, &unl)
         .map_err(|e| diverge(None, None, "internal", format!("parallel build: {e}")))?;
-    let ss = engine_ser
+    let ss = Engine::new(db.clone())
+        .with_parallel(false)
         .hub(&case.state, &unl)
         .map_err(|e| diverge(None, None, "internal", format!("serial build: {e}")))?;
     let (wp, ws) = (sp.write_handle(), ss.write_handle());
@@ -174,10 +174,10 @@ pub fn run_case(case: &Case) -> Result<CaseReport, Divergence> {
                 run_explain(ctx, &sp, &ss, *x)?;
             }
             Op::Poison => {
-                run_poison(ctx, &engine_par, &engine_ser, &sp, &ss, &mirror, db, &kd)?;
+                run_poison(ctx, &sp, &ss, &mirror, db, &kd)?;
             }
             Op::FaultInsert { nth, kind, rel, t } => {
-                run_fault_insert(ctx, &engine_par, &sp, &mirror, db, &kd, *nth, *kind, *rel, t)?;
+                run_fault_insert(ctx, &sp, &mirror, db, &kd, *nth, *kind, *rel, t)?;
             }
         }
         check_sync(Some(step), Some(&op_str), &sp, &ss, &mirror, db, &kd)?;
@@ -193,8 +193,8 @@ pub fn run_case(case: &Case) -> Result<CaseReport, Divergence> {
 fn check_sync(
     step: Option<usize>,
     op: Option<&str>,
-    sp: &Hub<'_>,
-    ss: &Hub<'_>,
+    sp: &Hub,
+    ss: &Hub,
     mirror: &DatabaseState,
     db: &DatabaseScheme,
     kd: &KeyDeps,
@@ -232,8 +232,8 @@ fn check_sync(
 #[allow(clippy::too_many_arguments)]
 fn apply_insert(
     (step, op): (Option<usize>, Option<&str>),
-    (sp, wp): (&Hub<'_>, &WriteHandle<'_>),
-    (ss, ws): (&Hub<'_>, &WriteHandle<'_>),
+    (sp, wp): (&Hub, &WriteHandle),
+    (ss, ws): (&Hub, &WriteHandle),
     mirror: &mut DatabaseState,
     db: &DatabaseScheme,
     kd: &KeyDeps,
@@ -294,8 +294,8 @@ fn apply_insert(
 #[allow(clippy::too_many_arguments)]
 fn apply_delete(
     (step, op): (Option<usize>, Option<&str>),
-    (sp, wp): (&Hub<'_>, &WriteHandle<'_>),
-    (ss, ws): (&Hub<'_>, &WriteHandle<'_>),
+    (sp, wp): (&Hub, &WriteHandle),
+    (ss, ws): (&Hub, &WriteHandle),
     mirror: &mut DatabaseState,
     rel: usize,
     t: &Tuple,
@@ -343,7 +343,7 @@ fn apply_delete(
 /// direction; a dropped base tuple breaks it in the other.
 fn probe_after_err(
     (step, op): (Option<usize>, Option<&str>),
-    s: &Hub<'_>,
+    s: &Hub,
     label: &str,
     t: &Tuple,
 ) -> Result<(), Divergence> {
@@ -372,8 +372,8 @@ fn probe_after_err(
 #[allow(clippy::too_many_arguments)]
 fn run_query(
     (step, op): (Option<usize>, Option<&str>),
-    sp: &Hub<'_>,
-    ss: &Hub<'_>,
+    sp: &Hub,
+    ss: &Hub,
     mirror: &DatabaseState,
     db: &DatabaseScheme,
     kd: &KeyDeps,
@@ -425,8 +425,8 @@ fn run_query(
 
 fn run_explain(
     (step, op): (Option<usize>, Option<&str>),
-    sp: &Hub<'_>,
-    ss: &Hub<'_>,
+    sp: &Hub,
+    ss: &Hub,
     x: AttrSet,
 ) -> Result<(), Divergence> {
     if !sp.is_consistent() {
@@ -450,16 +450,13 @@ fn run_explain(
     Ok(())
 }
 
-/// Poisons both engines' expression caches, then asserts the documented
+/// Poisons both hubs' expression caches, then asserts the documented
 /// recovery contract: the next query surfaces `Err(Faulted)` (not a
 /// panic), and the one after answers exactly like the naive chase.
-#[allow(clippy::too_many_arguments)]
 fn run_poison(
     (step, op): (Option<usize>, Option<&str>),
-    engine_par: &Engine,
-    engine_ser: &Engine,
-    sp: &Hub<'_>,
-    ss: &Hub<'_>,
+    sp: &Hub,
+    ss: &Hub,
     mirror: &DatabaseState,
     db: &DatabaseScheme,
     kd: &KeyDeps,
@@ -467,12 +464,12 @@ fn run_poison(
     // Non-IR schemes answer through the whole-state tableau and never
     // touch the expression cache; an inconsistent state short-circuits
     // before the cache. Both make the op a no-op.
-    if engine_par.ir().is_none() || !sp.is_consistent() {
+    if sp.engine().ir().is_none() || !sp.is_consistent() {
         return Ok(());
     }
     let x = db.scheme(0).attrs();
-    engine_par.inject_expr_cache_panic();
-    engine_ser.inject_expr_cache_panic();
+    sp.engine().inject_expr_cache_panic();
+    ss.engine().inject_expr_cache_panic();
     for (label, s) in [("parallel", sp), ("serial", ss)] {
         let probed = catch_unwind(AssertUnwindSafe(|| {
             s.read_view().total_projection(x, &Guard::unlimited())
@@ -532,8 +529,7 @@ fn run_poison(
 #[allow(clippy::too_many_arguments)]
 fn run_fault_insert(
     (step, op): (Option<usize>, Option<&str>),
-    engine: &Engine,
-    sp: &Hub<'_>,
+    sp: &Hub,
     mirror: &DatabaseState,
     db: &DatabaseScheme,
     kd: &KeyDeps,
@@ -542,7 +538,7 @@ fn run_fault_insert(
     rel: usize,
     t: &Tuple,
 ) -> Result<(), Divergence> {
-    let Some(ir) = engine.ir() else {
+    let Some(ir) = sp.engine().ir() else {
         return Ok(());
     };
     if !sp.is_consistent() {

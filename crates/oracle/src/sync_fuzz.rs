@@ -25,7 +25,8 @@ use idr_sync::{
     render_scenario, FaultPlan, Replica, Scenario, ScriptedOp, SyncPolicy, Transport,
 };
 
-use crate::crash::{corrupt_tuple, entity_tuple, gen_scheme};
+use crate::crash::gen_scheme;
+use crate::gen::{corrupt_tuple, entity_tuple};
 
 /// One case whose replicas failed to converge to the baseline (or
 /// diverged, or timed out).

@@ -128,11 +128,7 @@ impl Expr {
     /// [`RelationError::SelectionNotContained`] or
     /// [`RelationError::UnionSchemeMismatch`] for a malformed expression,
     /// the first one met evaluating inputs left to right.
-    pub fn eval(
-        &self,
-        _scheme: &DatabaseScheme,
-        state: &DatabaseState,
-    ) -> Result<Relation, RelationError> {
+    pub fn eval(&self, state: &DatabaseState) -> Result<Relation, RelationError> {
         let (attrs, tuples) = crate::eval::eval_sorted(self, state)?;
         Relation::from_tuples(attrs, tuples)
     }
@@ -238,7 +234,7 @@ mod tests {
         let x = scheme.universe().set_of("AC");
         let e = Expr::rel(0).join(Expr::rel(1)).project(x);
         assert_eq!(e.output_scheme(&scheme).unwrap(), x);
-        let r = e.eval(&scheme, &state).unwrap();
+        let r = e.eval(&state).unwrap();
         assert_eq!(r.len(), 1);
     }
 
@@ -246,7 +242,7 @@ mod tests {
     fn select_eval() {
         let (scheme, mut sym, state) = setup();
         let e = Expr::rel(0).select(vec![(scheme.universe().attr_of("A"), sym.intern("a1"))]);
-        let r = e.eval(&scheme, &state).unwrap();
+        let r = e.eval(&state).unwrap();
         assert_eq!(r.len(), 1);
     }
 
@@ -275,16 +271,16 @@ mod tests {
         let (scheme, _sym, state) = setup();
         let e = Expr::sequential(&[0, 1]);
         assert_eq!(e.rel_refs(), 2);
-        let r = e.eval(&scheme, &state).unwrap();
+        let r = e.eval(&state).unwrap();
         assert_eq!(r.attrs(), scheme.universe().set_of("ABC"));
         assert_eq!(r.len(), 1);
     }
 
     #[test]
     fn union_all_folds() {
-        let (scheme, _sym, state) = setup();
+        let (_scheme, _sym, state) = setup();
         let e = Expr::union_all(vec![Expr::rel(0), Expr::rel(0)]);
-        let r = e.eval(&scheme, &state).unwrap();
+        let r = e.eval(&state).unwrap();
         assert_eq!(r.len(), 2);
     }
 
@@ -324,7 +320,7 @@ mod tests {
         .unwrap();
         let r = Expr::rel(0)
             .join(Expr::rel(1))
-            .eval(&scheme, &state)
+            .eval(&state)
             .unwrap();
         assert_eq!(r.attrs(), scheme.universe().set_of("AB"));
         assert_eq!(r.len(), 4);
@@ -350,7 +346,7 @@ mod tests {
         let none = Expr::rel(1)
             .select(vec![(u.attr_of("B"), sym.intern("b2"))])
             .project(AttrSet::empty())
-            .eval(&scheme, &state)
+            .eval(&state)
             .unwrap();
         assert!(none.is_empty());
     }
@@ -364,7 +360,7 @@ mod tests {
         assert_eq!(
             Expr::rel(0)
                 .select(hit)
-                .eval(&scheme, &state)
+                .eval(&state)
                 .unwrap()
                 .len(),
             1
@@ -372,7 +368,7 @@ mod tests {
         let miss = vec![(a, sym.intern("a1")), (b, sym.intern("b2"))];
         assert!(Expr::rel(0)
             .select(miss)
-            .eval(&scheme, &state)
+            .eval(&state)
             .unwrap()
             .is_empty());
     }
@@ -406,7 +402,7 @@ mod tests {
             ),
         ];
         for (e, want) in cases {
-            assert_eq!(e.eval(&scheme, &state).unwrap_err(), want, "{e:?}");
+            assert_eq!(e.eval(&state).unwrap_err(), want, "{e:?}");
             assert_eq!(e.eval_sorted(&state).unwrap_err(), want, "{e:?}");
         }
     }

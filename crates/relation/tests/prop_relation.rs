@@ -193,9 +193,9 @@ mod algebra_laws {
                 .clone()
                 .project(u.set_of("AB"))
                 .project(u.set_of("A"))
-                .eval(&scheme, &state)
+                .eval(&state)
                 .unwrap();
-            let rhs = e.project(u.set_of("A")).eval(&scheme, &state).unwrap();
+            let rhs = e.project(u.set_of("A")).eval(&state).unwrap();
             assert!(lhs.set_eq(&rhs), "case {case}");
         }
     }
@@ -206,9 +206,9 @@ mod algebra_laws {
         for case in 0..CASES {
             let mut rng = master.split();
             let (rows, rows2) = (rand_rows(&mut rng), rand_rows(&mut rng));
-            let (scheme, _sym, state) = setup(&rows, &rows2);
-            let l = Expr::rel(0).join(Expr::rel(1)).eval(&scheme, &state).unwrap();
-            let r = Expr::rel(1).join(Expr::rel(0)).eval(&scheme, &state).unwrap();
+            let (_scheme, _sym, state) = setup(&rows, &rows2);
+            let l = Expr::rel(0).join(Expr::rel(1)).eval(&state).unwrap();
+            let r = Expr::rel(1).join(Expr::rel(0)).eval(&state).unwrap();
             assert!(l.set_eq(&r), "case {case}");
         }
     }
@@ -227,12 +227,12 @@ mod algebra_laws {
             let l = Expr::rel(0)
                 .join(Expr::rel(1))
                 .select(formula.clone())
-                .eval(&scheme, &state)
+                .eval(&state)
                 .unwrap();
             let r = Expr::rel(0)
                 .select(formula)
                 .join(Expr::rel(1))
-                .eval(&scheme, &state)
+                .eval(&state)
                 .unwrap();
             assert!(l.set_eq(&r), "case {case}");
         }
@@ -248,11 +248,11 @@ mod algebra_laws {
             let u = scheme.universe();
             let a = Expr::rel(0).project(u.set_of("B"));
             let b = Expr::rel(1).project(u.set_of("B"));
-            let ab = a.clone().union(b.clone()).eval(&scheme, &state).unwrap();
-            let ba = b.clone().union(a.clone()).eval(&scheme, &state).unwrap();
+            let ab = a.clone().union(b.clone()).eval(&state).unwrap();
+            let ba = b.clone().union(a.clone()).eval(&state).unwrap();
             assert!(ab.set_eq(&ba), "case {case}");
-            let aa = a.clone().union(a.clone()).eval(&scheme, &state).unwrap();
-            let just_a = a.eval(&scheme, &state).unwrap();
+            let aa = a.clone().union(a.clone()).eval(&state).unwrap();
+            let just_a = a.eval(&state).unwrap();
             assert!(aa.set_eq(&just_a), "case {case}");
         }
     }
@@ -412,7 +412,7 @@ mod differential {
             let want: Vec<Tuple> = reference(&e, &state).into_iter().collect();
             let got = e.eval_sorted(&state).unwrap();
             assert_eq!(got, want, "case {case}: {}", e.render(&db));
-            let rel = e.eval(&db, &state).unwrap();
+            let rel = e.eval(&state).unwrap();
             assert_eq!(rel.attrs(), attrs, "case {case}");
             assert_eq!(e.output_scheme(&db).unwrap(), attrs, "case {case}");
             assert_eq!(rel.sorted_tuples(), want, "case {case}");

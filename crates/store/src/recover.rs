@@ -240,7 +240,7 @@ pub fn open(
 /// [`SharedStore`](crate::SharedStore), logging locks the symbol table
 /// the caller holds for `symbols` and never returns.
 pub fn replay(
-    writer: &WriteHandle<'_>,
+    writer: &WriteHandle,
     symbols: &mut SymbolTable,
     records: &[String],
     stats: &mut RecoveryStats,

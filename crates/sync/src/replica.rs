@@ -329,37 +329,28 @@ impl Replica {
             self.rebuilds += 1;
             (DatabaseState::empty(self.engine.scheme()), 0)
         };
-        let (state, consistent) = {
-            let Replica {
-                engine,
-                symbols,
-                journals,
-                diverged,
-                ..
-            } = &mut *self;
-            let hub = engine.hub(&base, guard)?;
-            // The hub holds its own copy of the base state.
-            drop(base);
-            let lines = order[todo_from..]
-                .iter()
-                .map(|&(seq, origin)| journals[origin].op(seq));
-            hub.write_handle().replay(lines, symbols, guard, |_, r| match r {
-                Ok(_) => Ok(()),
-                Err(ReplayError::Malformed { line, detail }) => {
-                    // A malformed journal entry means the peers disagree
-                    // on the op format — divergence, not a crash.
-                    if diverged.is_none() {
-                        *diverged = Some(format!("malformed journal op {line:?}: {detail}"));
-                    }
-                    Ok(())
+        let hub = self.engine.hub(&base, guard)?;
+        // The hub holds its own copy of the base state.
+        drop(base);
+        let lines = order[todo_from..]
+            .iter()
+            .map(|&(seq, origin)| self.journals[origin].op(seq));
+        let diverged = &mut self.diverged;
+        hub.write_handle().replay(lines, &mut self.symbols, guard, |_, r| match r {
+            Ok(_) => Ok(()),
+            Err(ReplayError::Malformed { line, detail }) => {
+                // A malformed journal entry means the peers disagree
+                // on the op format — divergence, not a crash.
+                if diverged.is_none() {
+                    *diverged = Some(format!("malformed journal op {line:?}: {detail}"));
                 }
-                Err(ReplayError::Exec(e)) => Err(e),
-            })?;
-            let view = hub.read_view();
-            (view.state().clone(), view.is_consistent())
-        };
-        self.state = state;
-        self.consistent = consistent;
+                Ok(())
+            }
+            Err(ReplayError::Exec(e)) => Err(e),
+        })?;
+        let view = hub.read_view();
+        self.state = view.state().clone();
+        self.consistent = view.is_consistent();
         self.applied = order;
         Ok(())
     }

@@ -53,7 +53,7 @@ fn example4_ae() {
         ],
     )
     .unwrap();
-    let fast = expr.eval(db, &state).unwrap();
+    let fast = expr.eval(&state).unwrap();
     println!("  on r = fragments only (no R3 tuple):");
     for t in fast.iter() {
         println!("    {}", t.render(u, &sym));
@@ -109,7 +109,7 @@ fn example12_acg() {
         ],
     )
     .unwrap();
-    let fast = expr.eval(db, &state).unwrap();
+    let fast = expr.eval(&state).unwrap();
     for t in fast.iter() {
         println!("    {}", t.render(u, &sym));
     }

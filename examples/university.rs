@@ -117,7 +117,7 @@ fn main() {
         let x = u.set_of(target);
         match ir_total_projection_expr(&r, &kd_r, &ir, x, &g).unwrap() {
             Some(expr) => {
-                let rel = expr.eval(&r, &state).unwrap();
+                let rel = expr.eval(&state).unwrap();
                 println!("[{}] = {}", target, expr.render(&r));
                 for t in rel.iter() {
                     println!("    {}", t.render(u, &sym));

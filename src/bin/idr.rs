@@ -1462,12 +1462,12 @@ fn open_store(dir: &str, obs: &Observability) -> Result<store::Opened, ExitCode>
 /// banner with the verdict that hub earned. Returns the hub and the
 /// store, which has no sink attached yet; on error, prints it and
 /// returns its exit code.
-fn recover_into<'e>(
-    engine: &'e Engine,
+fn recover_into(
+    engine: &Engine,
     dir: &str,
     opened: store::Opened,
     guard: &Guard,
-) -> Result<(Hub<'e>, Store), ExitCode> {
+) -> Result<(Hub, Store), ExitCode> {
     let store::Opened {
         store,
         snapshot,
@@ -2505,7 +2505,7 @@ fn query_attrs(engine: &Engine, tail: &str) -> Result<AttrSet, String> {
 /// Runs one `query A B` op against a fresh epoch-stamped snapshot and
 /// renders the tagged response body (never blocks the writer lanes).
 fn serve_query(
-    hub: &Hub<'_>,
+    hub: &Hub,
     engine: &Engine,
     tail: &str,
     symbols: &Arc<std::sync::Mutex<SymbolTable>>,

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use independence_reducible::prelude::{
-    DatabaseScheme, DatabaseState, Engine, Guard, SymbolTable, Tuple,
+    DatabaseScheme, DatabaseState, Engine, Guard, Hub, SymbolTable, Tuple,
 };
 use independence_reducible::relation::parse::render_tuple_line;
 use independence_reducible::store::{recover, snapshot, wal, SharedStore, Store, TempDir};
@@ -398,4 +398,48 @@ fn read_views_stay_frozen_while_writers_advance() {
     assert!(fresh.epoch() > frozen_epoch);
     assert_eq!(fresh.state().total_tuples(), BLOCKS * 8);
     assert!(fresh.is_consistent());
+}
+
+/// Builds an engine in a local and returns only the hub over it: the hub
+/// owns a clone of its engine, so it outlives the scope that built it.
+fn hub_over_empty_state(db: DatabaseScheme) -> Hub {
+    let engine = Engine::new(db);
+    let empty = DatabaseState::empty(engine.scheme());
+    engine
+        .hub(&empty, &Guard::unlimited())
+        .expect("an empty state builds under an unlimited guard")
+}
+
+#[test]
+fn a_returned_hub_outlives_its_engine_and_serves_spawned_writers() {
+    let db = block_chain_scheme(2, RELS_PER_BLOCK);
+    let hub = hub_over_empty_state(db.clone());
+    let mut sym = SymbolTable::new();
+    let streams = block_streams(&db, &mut sym, 2, 4);
+    let writer = hub.write_handle();
+    // Handles borrow nothing, so they move into plain spawned threads.
+    let threads: Vec<_> = streams
+        .into_iter()
+        .map(|stream| {
+            let w = writer.clone();
+            std::thread::spawn(move || {
+                for (i, t) in stream {
+                    assert!(w.insert(i, t, &Guard::unlimited()).unwrap());
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("writer thread");
+    }
+
+    let view = hub.read_view();
+    assert!(view.is_consistent());
+    assert_eq!(view.state().total_tuples(), 8);
+    let g = Guard::unlimited();
+    let x = db.scheme(0).attrs();
+    let answer = view.total_projection(x, &g).unwrap().expect("consistent epoch");
+    assert!(!answer.is_empty());
+    let one_shot = Engine::new(db).total_projection(view.state(), x, &g).unwrap();
+    assert_eq!(Some(answer), one_shot);
 }

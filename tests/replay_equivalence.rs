@@ -56,7 +56,7 @@ type Observed = (Vec<Option<ReplayOutcome>>, Vec<String>, bool);
 /// `run`; returns what `run` observed plus the final state and verdict.
 fn replay_with(
     snapshot: &str,
-    run: impl FnOnce(&WriteHandle<'_>, &mut SymbolTable) -> Vec<Option<ReplayOutcome>>,
+    run: impl FnOnce(&WriteHandle, &mut SymbolTable) -> Vec<Option<ReplayOutcome>>,
 ) -> Observed {
     let db = scheme();
     let mut symbols = SymbolTable::new();
