@@ -21,9 +21,11 @@
 //! inputs produce the same verdicts, stats and (block-ordered) first
 //! error as a serial run.
 //!
-//! Total projections on IR schemes are answered chase-free through the
-//! cached Theorem 4.1 expressions evaluated over the base state; non-IR
-//! schemes fall back to a single whole-state chase.
+//! A non-IR scheme is served the same way, as a single block that holds
+//! every relation under the full key dependencies. Total projections on
+//! IR schemes are answered chase-free through the cached Theorem 4.1
+//! expressions evaluated over the base state; non-IR schemes chase the
+//! snapshot with the same incremental engine.
 //!
 //! Mutations can be made durable by handing the hub a write-ahead sink
 //! ([`Engine::hub_with`]): every write unit earns its verdicts, then
@@ -78,7 +80,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use idr_chase::IncrementalChase;
-use idr_fd::KeyDeps;
+use idr_fd::{FdSet, KeyDeps};
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
 use idr_relation::algebra::Expr;
 use idr_relation::exec::{ExecError, Guard};
@@ -146,8 +148,47 @@ struct SchemeFacts {
     scheme: DatabaseScheme,
     kd: KeyDeps,
     recognition: Recognition,
+    blocks: Blocks,
     classification: OnceLock<Classification>,
     expr_cache: Mutex<HashMap<AttrSet, Option<Expr>>>,
+}
+
+/// How a [`Hub`] splits a state into write lanes. On an IR scheme these
+/// are the partition's blocks under their embedded key dependencies
+/// (Theorem 4.2), traced as `T1`, `T2`, …; otherwise one block holds
+/// every relation under the full key dependencies, traced as `whole`.
+#[derive(Debug)]
+pub(crate) struct Blocks {
+    /// Each block's relation indices, ascending.
+    pub(crate) members: Vec<Vec<usize>>,
+    fds: Vec<FdSet>,
+    /// Relation index → block index.
+    pub(crate) block_of: Vec<usize>,
+    labels: Vec<String>,
+}
+
+impl Blocks {
+    fn of(scheme: &DatabaseScheme, kd: &KeyDeps, recognition: &Recognition) -> Blocks {
+        match recognition {
+            Recognition::Accepted(ir) if !ir.is_empty() => Blocks {
+                members: ir.partition.clone(),
+                fds: ir.block_fds.clone(),
+                block_of: ir.block_of.clone(),
+                labels: (1..=ir.len()).map(|b| format!("T{b}")).collect(),
+            },
+            _ => Blocks {
+                members: vec![(0..scheme.len()).collect()],
+                fds: vec![kd.full().clone()],
+                block_of: vec![0; scheme.len()],
+                labels: vec!["whole".to_string()],
+            },
+        }
+    }
+
+    /// How many blocks there are.
+    pub(crate) fn len(&self) -> usize {
+        self.members.len()
+    }
 }
 
 impl Engine {
@@ -157,11 +198,13 @@ impl Engine {
     pub fn new(scheme: DatabaseScheme) -> Self {
         let kd = KeyDeps::of(&scheme);
         let recognition = recognize(&scheme, &kd);
+        let blocks = Blocks::of(&scheme, &kd, &recognition);
         Engine {
             facts: Arc::new(SchemeFacts {
                 scheme,
                 kd,
                 recognition,
+                blocks,
                 classification: OnceLock::new(),
                 expr_cache: Mutex::new(HashMap::new()),
             }),
@@ -353,6 +396,11 @@ impl Engine {
         self.parallel
     }
 
+    /// The hub's write lanes.
+    pub(crate) fn blocks(&self) -> &Blocks {
+        &self.facts.blocks
+    }
+
     /// Chases block `b`'s substate under the block's fds, emitting its
     /// events (and a closing `block_evaluated`) into `trace` — under
     /// parallel evaluation that is the block's private shard.
@@ -360,20 +408,16 @@ impl Engine {
     /// the hub reports it as a verdict.
     pub(crate) fn chase_block(
         &self,
-        ir: &IrScheme,
         b: usize,
         state: &DatabaseState,
         guard: &Guard,
         trace: TraceHandle,
     ) -> Result<IncrementalChase, ExecError> {
-        let mut e = IncrementalChase::new(self.scheme().universe().len(), &ir.block_fds[b])
-            .with_observability(
-                trace.clone(),
-                Some(self.scheme().universe()),
-                &format!("T{}", b + 1),
-            )
+        let blocks = self.blocks();
+        let mut e = IncrementalChase::new(self.scheme().universe().len(), &blocks.fds[b])
+            .with_observability(trace.clone(), Some(self.scheme().universe()), &blocks.labels[b])
             .with_provenance(self.obs.provenance);
-        for &i in &ir.partition[b] {
+        for &i in &blocks.members[b] {
             for t in state.relation(i).iter() {
                 e.push_tuple(t, Some(i))?;
             }
@@ -381,24 +425,6 @@ impl Engine {
         let e = finish_run(e, guard)?;
         trace.emit_with(|| TraceEvent::BlockEvaluated {
             block: b,
-            consistent: e.failure().is_none(),
-            passes: e.stats().passes,
-            rule_applications: e.stats().rule_applications,
-        });
-        Ok(e)
-    }
-
-    pub(crate) fn chase_whole(
-        &self,
-        state: &DatabaseState,
-        guard: &Guard,
-    ) -> Result<IncrementalChase, ExecError> {
-        let e = IncrementalChase::of_state(self.scheme(), state, self.key_deps().full())?
-            .with_observability(self.obs.tracer.clone(), Some(self.scheme().universe()), "whole")
-            .with_provenance(self.obs.provenance);
-        let e = finish_run(e, guard)?;
-        self.obs.tracer.emit_with(|| TraceEvent::BlockEvaluated {
-            block: 0,
             consistent: e.failure().is_none(),
             passes: e.stats().passes,
             rule_applications: e.stats().rule_applications,

@@ -146,8 +146,6 @@ struct HubShared {
     /// The engine this hub serves, owned: every handle reaches it here.
     engine: Engine,
     slots: Vec<Mutex<Slot>>,
-    /// `true` when the scheme is not IR (single whole-state slot).
-    whole: bool,
     /// The most recently published snapshot. Lock order: `publish`
     /// before any slot, slots in index order; writers never take
     /// `publish`.
@@ -334,51 +332,38 @@ impl Hub {
     ) -> Result<Hub, ExecError> {
         let t0 = Instant::now();
         let obs = engine.observability();
-        let (slots, whole) = match engine.ir() {
-            Some(ir) if !ir.is_empty() => {
-                // One private shard per block: workers never contend on
-                // the sink, and draining the shards in block order at
-                // the barrier makes the merged stream identical whether
-                // the blocks ran serially or in parallel.
-                let shards = obs
-                    .tracer
-                    .enabled()
-                    .then(|| ShardedLog::new(ir.len(), SHARD_CAPACITY));
-                let built = evaluate_blocks(ir.len(), engine.parallel_enabled(), |b| {
-                    let trace = match &shards {
-                        Some(sh) => TraceHandle::to_log(Arc::clone(sh.shard(b))),
-                        None => TraceHandle::none(),
-                    };
-                    engine.chase_block(ir, b, state, guard, trace)
-                });
-                if let Some(sh) = &shards {
-                    sh.merge_into_handle(&obs.tracer);
-                }
-                let mut slots = Vec::with_capacity(built.len());
-                for (b, r) in built.into_iter().enumerate() {
-                    let mut chase = r?;
-                    // The shards are drained; point incremental work
-                    // straight at the hub's sink.
-                    chase.retarget_trace(obs.tracer.clone());
-                    let mut sub = DatabaseState::empty(engine.scheme());
-                    copy_owned(&engine, false, b, state, &mut sub);
-                    slots.push(Mutex::new(Slot {
-                        chase,
-                        state: sub,
-                        retired: ChaseStats::default(),
-                    }));
-                }
-                (slots, false)
-            }
-            _ => (
-                vec![Mutex::new(Slot {
-                    chase: engine.chase_whole(state, guard)?,
-                    state: state.clone(),
-                    retired: ChaseStats::default(),
-                })],
-                true,
-            ),
-        };
+        let blocks = engine.blocks().len();
+        // One private shard per block: workers never contend on the
+        // sink, and draining the shards in block order at the barrier
+        // makes the merged stream identical whether the blocks ran
+        // serially or in parallel. A single block (every non-IR scheme)
+        // emits straight into the sink, so no shard capacity bounds it.
+        let shards = (obs.tracer.enabled() && blocks > 1)
+            .then(|| ShardedLog::new(blocks, SHARD_CAPACITY));
+        let built = evaluate_blocks(blocks, engine.parallel_enabled(), |b| {
+            let trace = match &shards {
+                Some(sh) => TraceHandle::to_log(Arc::clone(sh.shard(b))),
+                None => obs.tracer.clone(),
+            };
+            engine.chase_block(b, state, guard, trace)
+        });
+        if let Some(sh) = &shards {
+            sh.merge_into_handle(&obs.tracer);
+        }
+        let mut slots = Vec::with_capacity(built.len());
+        for (b, r) in built.into_iter().enumerate() {
+            let mut chase = r?;
+            // The shards are drained; point incremental work straight
+            // at the hub's sink.
+            chase.retarget_trace(obs.tracer.clone());
+            let mut sub = DatabaseState::empty(engine.scheme());
+            copy_owned(&engine, b, state, &mut sub);
+            slots.push(Mutex::new(Slot {
+                chase,
+                state: sub,
+                retired: ChaseStats::default(),
+            }));
+        }
         let consistent = slots
             .iter()
             .all(|s| lock_slot(s).chase.failure().is_none());
@@ -389,7 +374,6 @@ impl Hub {
         let hub = Hub {
             shared: Arc::new(HubShared {
                 engine,
-                whole,
                 publish: Mutex::new(Arc::new(Snapshot {
                     epoch: 0,
                     state: state.clone(),
@@ -462,7 +446,7 @@ impl Hub {
     }
 
     /// Block indexes whose substate is inconsistent (always `[0]` or
-    /// `[]` for the whole-state backend).
+    /// `[]` for a non-IR scheme's single block).
     pub fn inconsistent_blocks(&self) -> Vec<usize> {
         self.shared
             .slots
@@ -530,12 +514,7 @@ impl HubShared {
     /// Routes relation `i` to its slot index.
     fn slot_of(&self, i: usize) -> usize {
         assert!(i < self.engine.scheme().len(), "relation index out of range");
-        if self.whole {
-            0
-        } else {
-            let ir = self.engine.ir().expect("block slots imply an IR partition");
-            ir.block_of[i]
-        }
+        self.engine.blocks().block_of[i]
     }
 
     /// The one write path: applies `ops` as one unit across every block
@@ -809,14 +788,8 @@ impl HubShared {
     /// poisoned block, compaction and the rollback point. The replaced
     /// tableau's work is kept in `retired`.
     fn rebuild(&self, slot: &mut Slot, si: usize, guard: &Guard) -> Result<(), ExecError> {
-        let fresh = if self.whole {
-            self.engine.chase_whole(&slot.state, guard)?
-        } else {
-            let ir = self.engine.ir().expect("block slots imply an IR partition");
-            let tracer = self.engine.observability().tracer.clone();
-            self.engine
-                .chase_block(ir, si, &slot.state, guard, tracer)?
-        };
+        let tracer = self.engine.observability().tracer.clone();
+        let fresh = self.engine.chase_block(si, &slot.state, guard, tracer)?;
         let old = std::mem::replace(&mut slot.chase, fresh).stats();
         slot.retired.passes += old.passes;
         slot.retired.rule_applications += old.rule_applications;
@@ -847,7 +820,7 @@ impl HubShared {
         let slots: Vec<_> = self.slots.iter().map(lock_slot).collect();
         let mut state = DatabaseState::empty(self.engine.scheme());
         for (si, s) in slots.iter().enumerate() {
-            copy_owned(&self.engine, self.whole, si, &s.state, &mut state);
+            copy_owned(&self.engine, si, &s.state, &mut state);
         }
         sink.write_snapshot(&state)
     }
@@ -877,7 +850,7 @@ impl HubShared {
             for (si, s) in self.slots.iter().enumerate() {
                 let slot = lock_slot(s);
                 consistent &= slot.chase.failure().is_none();
-                copy_owned(&self.engine, self.whole, si, &slot.state, &mut state);
+                copy_owned(&self.engine, si, &slot.state, &mut state);
             }
             let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
             let tuples = state.total_tuples();
@@ -1118,8 +1091,9 @@ impl ReadView {
     /// The X-total projection `[x]` of this epoch. `Ok(None)` when the
     /// epoch is inconsistent. On IR schemes this is chase-free (the
     /// cached Theorem 4.1 expression over the snapshot state); non-IR
-    /// schemes chase the snapshot — never the live tableaux, so the
-    /// answer is stable no matter what writers do meanwhile.
+    /// schemes, and IR queries no bounded expression covers, chase the
+    /// snapshot — never the live tableaux, so the answer is stable no
+    /// matter what writers do meanwhile.
     pub fn total_projection(
         &self,
         x: AttrSet,
@@ -1129,19 +1103,14 @@ impl ReadView {
         if !self.snap.consistent {
             return Ok(None);
         }
-        let (result, method) = if self.engine.ir().is_some_and(|ir| !ir.is_empty()) {
-            project_ir(&self.engine, &self.snap.state, x, guard)?
-        } else {
-            (
-                idr_chase::total_projection(
-                    self.engine.scheme(),
-                    &self.snap.state,
-                    self.engine.key_deps().full(),
-                    x,
-                    guard,
-                ),
-                "chase",
-            )
+        let (result, method) = match self.engine.total_projection_expr(x, guard)? {
+            Some(expr) => {
+                let tuples = expr
+                    .eval_sorted(&self.snap.state)
+                    .expect("cached projection expressions are well-formed");
+                (Ok(Some(tuples)), "expr")
+            }
+            None => (chase_projection(&self.engine, &self.snap.state, x, guard), "chase"),
         };
         emit_query(&self.engine, x, method, &result, t0, guard);
         result
@@ -1150,33 +1119,15 @@ impl ReadView {
 
 type ProjectionResult = Result<Option<Vec<Tuple>>, ExecError>;
 
-/// The IR query path of snapshot reads: the cached Theorem 4.1
-/// expression over `state`, falling back to one whole-state chase when
-/// no bounded expression covers `x`.
-fn project_ir(
-    engine: &Engine,
-    state: &DatabaseState,
-    x: AttrSet,
-    guard: &Guard,
-) -> Result<(ProjectionResult, &'static str), ExecError> {
-    Ok(match engine.total_projection_expr(x, guard)? {
-        Some(expr) => {
-            let tuples = expr
-                .eval_sorted(state)
-                .expect("cached projection expressions are well-formed");
-            (Ok(Some(tuples)), "expr")
-        }
-        None => (
-            idr_chase::total_projection(
-                engine.scheme(),
-                state,
-                engine.key_deps().full(),
-                x,
-                guard,
-            ),
-            "chase",
-        ),
-    })
+/// `[x]` by the hub's own chase engine: an untraced tableau of `state`
+/// chased under the full key dependencies.
+fn chase_projection(engine: &Engine, state: &DatabaseState, x: AttrSet, guard: &Guard) -> ProjectionResult {
+    let mut chase = IncrementalChase::of_state(engine.scheme(), state, engine.key_deps().full())?;
+    match chase.run(guard) {
+        Ok(_) => Ok(Some(chase.total_projection(x))),
+        Err(ExecError::Inconsistent { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// The `query_answered` event + metrics every query path shares.
@@ -1213,24 +1164,12 @@ fn emit_query(
 /// Copies every relation slot `si` owns from `src` into `dst`, each one
 /// whole — how the hub carves its slots out of a state and assembles a
 /// published or durable cut from them. A whole-relation clone keeps each
-/// relation's insertion order, which `render`, the `state_lines` oracle
-/// and the fingerprints compare.
-fn copy_owned(
-    engine: &Engine,
-    whole: bool,
-    si: usize,
-    src: &DatabaseState,
-    dst: &mut DatabaseState,
-) {
-    let copy = |i| {
+/// relation's insertion order, which `render` and the fingerprints
+/// compare.
+fn copy_owned(engine: &Engine, si: usize, src: &DatabaseState, dst: &mut DatabaseState) {
+    for &i in &engine.blocks().members[si] {
         dst.copy_relation(i, src)
-            .expect("hub states share the engine's scheme")
-    };
-    if whole {
-        (0..engine.scheme().len()).for_each(copy);
-    } else {
-        let ir = engine.ir().expect("block slots imply an IR partition");
-        ir.partition[si].iter().copied().for_each(copy);
+            .expect("hub states share the engine's scheme");
     }
 }
 

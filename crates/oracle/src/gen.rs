@@ -6,7 +6,7 @@
 //! chains/cycles/stars, split schemes, independence-reducible block
 //! chains, γ-acyclic-adjacent random covers-embedded schemes — plus two
 //! adversarial biases: Example 2 (rejected by Algorithm 6, exercising the
-//! whole-state backend) and *near-miss* mutants of the structured
+//! single-block non-IR hub) and *near-miss* mutants of the structured
 //! families ([`mutate_one_key`]), which sit on the class boundary where
 //! classifier and oracle disagreements are most likely.
 //!
@@ -45,7 +45,7 @@ fn gen_scheme(rng: &mut SplitMix64) -> DatabaseScheme {
         match rng.gen_range(0, 10) {
             // 0–4: the structured families themselves.
             0..=4 => return structured_scheme(rng),
-            // 5: Example 2 — rejected by Algorithm 6, whole-state backend.
+            // 5: Example 2 — rejected by Algorithm 6, one-block hub.
             5 => return example2_scheme(),
             // 6–7: random covers-embedded schemes.
             6 | 7 => {

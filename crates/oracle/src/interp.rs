@@ -24,13 +24,15 @@
 //! tableau rows keep answering).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use idr_core::engine::Engine;
+use idr_core::engine::{Engine, Observability};
 use idr_core::serving::{Hub, WriteHandle};
 use idr_core::exec::{FaultInjector, FaultPlan};
 use idr_core::maintain::algorithm2;
 use idr_core::maintain::IrMaintainer;
 use idr_fd::KeyDeps;
+use idr_obs::MetricsRegistry;
 use idr_relation::exec::{Budget, ExecError, FaultKind, Guard, RetryPolicy};
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Tuple};
 
@@ -131,16 +133,25 @@ fn step_guard(steps: u64) -> Guard {
     Guard::new(Budget::unlimited().with_max_chase_steps(steps))
 }
 
-/// Runs one case against all four oracles in lockstep.
-pub fn run_case(case: &Case) -> Result<CaseReport, Divergence> {
+/// Runs one case against all four oracles in lockstep; both hubs
+/// report into `metrics` when given.
+pub fn run_case(case: &Case, metrics: Option<&Arc<MetricsRegistry>>) -> Result<CaseReport, Divergence> {
     let db = &case.db;
     let kd = KeyDeps::of(db);
     let unl = Guard::unlimited();
-    let sp = Engine::new(db.clone())
+    // Two engines, not two clones of one: each hub needs its own
+    // expression cache for the poison probes to be independent.
+    let engine = || {
+        Engine::new(db.clone()).with_observability(Observability {
+            metrics: metrics.cloned(),
+            ..Observability::default()
+        })
+    };
+    let sp = engine()
         .with_parallel(true)
         .hub(&case.state, &unl)
         .map_err(|e| diverge(None, None, "internal", format!("parallel build: {e}")))?;
-    let ss = Engine::new(db.clone())
+    let ss = engine()
         .with_parallel(false)
         .hub(&case.state, &unl)
         .map_err(|e| diverge(None, None, "internal", format!("serial build: {e}")))?;
@@ -461,8 +472,8 @@ fn run_poison(
     db: &DatabaseScheme,
     kd: &KeyDeps,
 ) -> Result<(), Divergence> {
-    // Non-IR schemes answer through the whole-state tableau and never
-    // touch the expression cache; an inconsistent state short-circuits
+    // Non-IR schemes have no Theorem 4.1 expressions and never touch
+    // the expression cache; an inconsistent state short-circuits
     // before the cache. Both make the op a no-op.
     if sp.engine().ir().is_none() || !sp.is_consistent() {
         return Ok(());

@@ -24,7 +24,7 @@ use crate::run_case_guarded;
 
 /// Whether `case` still fails with the same divergence kind.
 fn still_fails(case: &Case, kind: &str) -> bool {
-    matches!(run_case_guarded(case), Err(d) if d.kind == kind)
+    matches!(run_case_guarded(case, None), Err(d) if d.kind == kind)
 }
 
 /// Candidate with op `i` removed.
@@ -149,7 +149,7 @@ pub fn shrink(case: &Case, original: &Divergence) -> (Case, Divergence) {
             break;
         }
     }
-    let d = run_case_guarded(&best)
+    let d = run_case_guarded(&best, None)
         .expect_err("shrink invariant: the minimised case still diverges");
     (best, d)
 }
@@ -204,7 +204,7 @@ mod tests {
                 }
                 // The reduced case must replay without harness errors
                 // (divergence-free, since the engine under test is sound).
-                assert!(run_case_guarded(&cand).is_ok(), "seed {seed}");
+                assert!(run_case_guarded(&cand, None).is_ok(), "seed {seed}");
             }
             if dropped >= 3 {
                 return;

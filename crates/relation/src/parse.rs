@@ -187,13 +187,48 @@ pub fn render_tuple_line(
     i: usize,
     t: &Tuple,
 ) -> String {
+    format!("{}: {}", db.scheme(i).name(), render_pairs(db, symbols, t))
+}
+
+/// A tuple's `attr=value` pairs, space-separated.
+fn render_pairs(db: &DatabaseScheme, symbols: &SymbolTable, t: &Tuple) -> String {
     let u = db.universe();
-    let pairs = t
-        .iter()
+    t.iter()
         .map(|(a, v)| format!("{}={}", u.name(a), symbols.resolve(v)))
         .collect::<Vec<_>>()
-        .join(" ");
-    format!("{}: {}", db.scheme(i).name(), pairs)
+        .join(" ")
+}
+
+/// Renders a state as sorted state-file lines: the fingerprint that
+/// compares states across symbol tables (each table interns values in
+/// its own order, so raw `Value`s are not comparable).
+pub fn render_state_lines(
+    db: &DatabaseScheme,
+    state: &DatabaseState,
+    symbols: &SymbolTable,
+) -> Vec<String> {
+    let mut lines: Vec<String> = state
+        .iter_all()
+        .map(|(i, t)| render_tuple_line(db, symbols, i, t))
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Renders a query answer as sorted, deduplicated `attr=value` lines:
+/// the answer's fingerprint across symbol tables.
+pub fn render_answer_lines(
+    db: &DatabaseScheme,
+    tuples: &[Tuple],
+    symbols: &SymbolTable,
+) -> Vec<String> {
+    let mut lines: Vec<String> = tuples
+        .iter()
+        .map(|t| render_pairs(db, symbols, t))
+        .collect();
+    lines.sort();
+    lines.dedup();
+    lines
 }
 
 /// Renders a full state as state-file lines, relation by relation.

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use idr_core::{Engine, ReplayError};
 use idr_relation::exec::{ExecError, FaultKind, Guard};
-use idr_relation::parse::render_tuple_line;
+use idr_relation::parse::{render_answer_lines, render_state_lines};
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, SymbolTable};
 
 use crate::digest::{DigestStatus, JournalDigest};
@@ -370,14 +370,7 @@ impl Replica {
     /// cross-replica fingerprint (each replica interns values in its
     /// own order, so raw `Value` comparison would be meaningless).
     pub fn state_lines(&self) -> Vec<String> {
-        let db = self.engine.scheme();
-        let mut lines: Vec<String> = self
-            .state
-            .iter_all()
-            .map(|(i, t)| render_tuple_line(db, &self.symbols, i, t))
-            .collect();
-        lines.sort();
-        lines
+        render_state_lines(self.engine.scheme(), &self.state, &self.symbols)
     }
 
     /// Answers a total-projection probe over the current state,
@@ -385,23 +378,10 @@ impl Replica {
     /// inconsistent and the query has no defined answer).
     pub fn answer(&self, probe: AttrSet, guard: &Guard) -> Result<Option<Vec<String>>, ExecError> {
         let hub = self.engine.hub(&self.state, guard)?;
-        let Some(tuples) = hub.read_view().total_projection(probe, guard)? else {
-            return Ok(None);
-        };
-        let db = self.engine.scheme();
-        let u = db.universe();
-        let mut lines: Vec<String> = tuples
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .map(|(a, v)| format!("{}={}", u.name(a), self.symbols.resolve(v)))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        lines.sort();
-        lines.dedup();
-        Ok(Some(lines))
+        Ok(hub
+            .read_view()
+            .total_projection(probe, guard)?
+            .map(|tuples| render_answer_lines(self.engine.scheme(), &tuples, &self.symbols)))
     }
 }
 

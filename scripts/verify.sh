@@ -41,47 +41,61 @@ done < <(
 )
 [ "$docs_ok" = 1 ] || exit 1
 
+# Every fuzz run below dumps its engine-metrics snapshot under
+# target/fuzz-metrics/; a snapshot without counters means an arm stopped
+# reporting into --metrics, and fails the gate.
+mkdir -p target/fuzz-metrics
+fuzz() {
+  local name=$1
+  shift
+  ./target/release/idr fuzz "$@" --metrics "target/fuzz-metrics/$name.json"
+  if grep -q '"counters":{}' "target/fuzz-metrics/$name.json"; then
+    echo "fuzz $name: its --metrics snapshot holds no counters" >&2
+    exit 1
+  fi
+}
+
 # Bounded differential-fuzzing smoke run: 100 seed-deterministic cases
 # replayed against four oracles in lockstep (parallel session, serial
 # session, naive chase, Theorem 4.1 expressions). Exits 8 and writes
 # repro fixtures to target/fuzz-failures on any divergence.
-./target/release/idr fuzz --seed 42 --cases 100 --shrink
+fuzz differential --seed 42 --cases 100 --shrink
 
 # Crash-point recovery fuzzing: 200 durable op streams, the WAL cut at
 # every byte boundary, each cut recovered and diffed against a
 # never-crashed oracle (tens of thousands of crash points). Exits 8 on
 # any recovery divergence.
-./target/release/idr fuzz --crash --seed 20260806 --cases 200
+fuzz crash --crash --seed 20260806 --cases 200
 
 # Replication-convergence fuzzing: 200 random op streams partitioned
 # across 2–4 simulated replicas under random fault plans (drop, delay,
 # duplication, partition + heal, crash mid-sync). Every replica's
 # converged state must match a never-partitioned baseline byte for byte;
 # failures shrink to replayable scenario files. Exits 8 on any miss.
-./target/release/idr fuzz --sync --seed 42 --cases 200
+fuzz sync --sync --seed 42 --cases 200
 
 # Concurrent-serving fuzzing: 100 random op schedules run through the
 # hub under racing client threads, the final state diffed against a
 # serial replay of the committed WAL order (Thm 4.2: cross-block ops
 # commute, so the two must agree byte for byte). Exits 8 on any miss.
-./target/release/idr fuzz --concurrent --seed 42 --cases 100
+fuzz concurrent --concurrent --seed 42 --cases 100
 
 # Mid-batch crash cuts on the group-commit WAL: concurrent durable
 # streams, the log truncated inside coalesced batches, each cut
 # recovered and checked against the committed-prefix oracle.
-./target/release/idr fuzz --crash --concurrent --seed 20260806 --cases 100
+fuzz crash-concurrent --crash --concurrent --seed 20260806 --cases 100
 
 # Batch-vs-serial equivalence fuzzing: framed op groups applied through
 # apply_batch over a real durable store, diffed per-op against serial
 # application (verdicts, state, consistency, probe answers), then the
 # data dir recovered and diffed again. Exits 8 on any divergence.
-./target/release/idr fuzz --batch --seed 42 --cases 50
+fuzz batch --batch --seed 42 --cases 50
 
 # Wire-transport replication fuzzing (docs/WIRE.md): the same scripted
 # fault plans replayed over real loopback sockets, each replica holding
 # durable journal files on disk, diffed byte-for-byte against the
 # never-partitioned baseline. Exits 8 on any miss.
-./target/release/idr fuzz --sync --wire --seed 42 --cases 50
+fuzz wire --sync --wire --seed 42 --cases 50
 
 # The checked-in demo scenario must converge (and exercises the CLI
 # round-trace path end to end) — on the simulator and over sockets.

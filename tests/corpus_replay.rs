@@ -26,7 +26,7 @@ fn every_corpus_fixture_replays_cleanly() {
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let case = Case::parse(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        match run_case_guarded(&case) {
+        match run_case_guarded(&case, None) {
             Ok(report) => assert!(
                 report.ops_run == case.ops.len(),
                 "{}: ran {} of {} ops",

@@ -41,9 +41,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use independence_reducible::exec::{Budget, Guard};
-use independence_reducible::oracle::crash_fuzz;
+use independence_reducible::oracle::{crash_fuzz, Campaign};
 use independence_reducible::prelude::*;
-use independence_reducible::relation::parse::{parse_scheme, parse_tuple_line, render_tuple_line};
+use independence_reducible::relation::parse::{parse_scheme, parse_tuple_line, render_state_lines};
 use independence_reducible::store::{
     open, recover, replay, wal, Opened, SharedStore, Store, StoreError, TempDir,
 };
@@ -57,18 +57,6 @@ fn scheme() -> DatabaseScheme {
          scheme R2: C D keys C\n",
     )
     .unwrap()
-}
-
-/// The state rendered as sorted fixture lines — the cross-symbol-table
-/// comparison form (recovery interns into a fresh table, so raw values
-/// are not comparable across the crash).
-fn state_lines(db: &DatabaseScheme, state: &DatabaseState, symbols: &SymbolTable) -> Vec<String> {
-    let mut lines: Vec<String> = state
-        .iter_all()
-        .map(|(i, t)| render_tuple_line(db, symbols, i, t))
-        .collect();
-    lines.sort();
-    lines
 }
 
 /// Runs `ops` (fixture lines, `+` insert / `-` delete) through a durable
@@ -122,7 +110,7 @@ fn snapshot_rotation_and_replay_round_trip() {
     assert_eq!(rec.stats.wal_records, 0);
     assert_eq!(rec.stats.replayed, 0);
     let symbols = rec.store.symbols();
-    let lines = state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
+    let lines = render_state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
     assert_eq!(lines, vec!["R1: A=a1 B=b1", "R1: A=a2 B=b2"]);
 
     // The recovered store appends where the old one left off: one more
@@ -265,7 +253,7 @@ fn assert_recovery_equals_memory(
 ) -> independence_reducible::store::Recovered {
     let rec = recover(dir.path()).unwrap();
     let symbols = rec.store.symbols();
-    let lines = state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
+    let lines = render_state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
     assert_eq!(lines, memory, "recovery equals memory");
     rec
 }
@@ -298,7 +286,7 @@ fn guard_tripped_insert_logs_no_record() {
         // The hub stays usable after the rollback.
         assert!(hub.is_consistent());
         let symbols = store.symbols();
-        let lines = state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
+        let lines = render_state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
         lines
     };
     assert_eq!(memory, vec!["R1: A=a1 B=b1"]);
@@ -340,7 +328,7 @@ fn guard_tripped_delete_logs_no_record() {
         );
         assert!(hub.is_consistent());
         let symbols = store.symbols();
-        let lines = state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
+        let lines = render_state_lines(&db, hub.read_view().state(), &symbols.lock().unwrap());
         lines
     };
     assert_eq!(memory.len(), 2);
@@ -396,7 +384,7 @@ fn rejected_insert_is_replayed_and_rejected_again() {
     assert_eq!(rec.stats.rejected, 1);
     assert!(rec.consistent);
     let symbols = rec.store.symbols();
-    let lines = state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
+    let lines = render_state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
     assert_eq!(lines, vec!["R1: A=a1 B=b1", "R2: C=c1 D=d1"]);
 }
 
@@ -404,8 +392,8 @@ fn rejected_insert_is_replayed_and_rejected_again() {
 fn crash_point_fuzzer_smoke() {
     // CI runs the full 200-case sweep via the CLI (`idr fuzz --crash`);
     // this is the in-tree smoke version of the same oracle.
-    let summary = crash_fuzz(0xD00D, 4, None);
-    assert!(summary.crash_points > 0);
+    let summary = crash_fuzz(Campaign::new(0xD00D, 4));
+    assert!(summary.counters.crash_points > 0);
     assert!(
         summary.is_clean(),
         "crash-recovery divergence: {:?}",

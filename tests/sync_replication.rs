@@ -15,7 +15,7 @@
 //! * A bounded run of the replication-convergence fuzzer (the oracle's
 //!   sixth arm) is clean.
 
-use independence_reducible::oracle::sync_fuzz;
+use independence_reducible::oracle::{sync_fuzz, Campaign};
 use independence_reducible::prelude::*;
 use independence_reducible::relation::parse::parse_scheme;
 use independence_reducible::sync::{
@@ -186,7 +186,7 @@ fn unhealed_partition_prevents_convergence_and_healing_restores_it() {
 /// version of the CI `idr fuzz --sync` step.
 #[test]
 fn bounded_sync_fuzz_run_is_clean() {
-    let summary = sync_fuzz(42, 40, Transport::Sim, None);
+    let summary = sync_fuzz(Campaign::new(42, 40), Transport::Sim);
     assert_eq!(summary.cases, 40);
     assert!(
         summary.is_clean(),
@@ -194,9 +194,9 @@ fn bounded_sync_fuzz_run_is_clean() {
         summary
             .failures
             .iter()
-            .map(|f| format!("{f}\n--- scenario ---\n{}", f.scenario))
+            .map(|f| format!("{f}\n--- scenario ---\n{}", f.repro.as_deref().unwrap_or_default()))
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(summary.ops_shipped > 0);
+    assert!(summary.counters.ops_shipped > 0);
 }
