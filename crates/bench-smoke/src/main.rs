@@ -63,7 +63,9 @@ use idr_obs::{EventLog, MetricsRegistry, TraceHandle};
 use idr_relation::parse::render_tuple_line;
 use idr_relation::{DatabaseScheme, DatabaseState, SymbolTable, Tuple};
 use idr_store::{tempdir::TempDir, SharedStore, Store};
-use idr_sync::{CrashPoint, CrashStep, FaultPlan, Partition, ScriptedOp, Simulator, SyncPolicy};
+use idr_sync::{
+    CrashPoint, CrashStep, FaultPlan, Partition, Scenario, ScriptedOp, SyncPolicy, Transport,
+};
 use idr_core::serving::BatchOp;
 use idr_workload::generators::block_chain_scheme;
 use idr_workload::scale::{bulk_families, bulk_inserts};
@@ -308,8 +310,19 @@ fn bench_sync(db: &DatabaseScheme, entities: usize, inserts: usize) -> Vec<SyncB
     ]
     .into_iter()
     .map(|(name, plan)| {
-        let mut sim = Simulator::new(db, replicas, ops.clone(), plan, SyncPolicy::default(), SEED);
-        let report = sim.run(256).expect("sync bench within budget");
+        let scenario = Scenario {
+            db: db.clone(),
+            replicas,
+            seed: SEED,
+            max_rounds: 256,
+            policy: SyncPolicy::default(),
+            plan,
+            ops: ops.clone(),
+            transport: Transport::Sim,
+        };
+        let (report, _) = scenario
+            .run(TraceHandle::none(), None)
+            .expect("sync bench within budget");
         assert!(
             report.converged && report.diverged.is_none(),
             "sync bench plan {name:?} failed to converge"

@@ -1,6 +1,6 @@
 //! Key-equivalence (§3) and Algorithm 3 (scheme closures).
 
-use idr_fd::{FdSet, KeyDeps};
+use idr_fd::KeyDeps;
 use idr_relation::{AttrSet, DatabaseScheme};
 
 /// Algorithm 3: the closure `Sⱼ⁺` of a scheme within a subset `S` of the
@@ -59,12 +59,6 @@ pub fn is_key_equivalent(scheme: &DatabaseScheme, kd: &KeyDeps, subset: &[usize]
 pub fn whole_scheme_key_equivalent(scheme: &DatabaseScheme, kd: &KeyDeps) -> bool {
     let all: Vec<usize> = (0..scheme.len()).collect();
     is_key_equivalent(scheme, kd, &all)
-}
-
-/// The key dependencies embedded in a subset, re-exported for callers that
-/// hold only scheme indices.
-pub fn subset_fds(kd: &KeyDeps, subset: &[usize]) -> FdSet {
-    kd.for_subset(subset)
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ pub fn minimal_cover(f: &FdSet) -> FdSet {
     )
 }
 
-/// Whether `g` is a cover of `f` (`F⁺ = G⁺`).
-pub fn is_cover(g: &FdSet, f: &FdSet) -> bool {
-    g.equivalent(f)
-}
-
 /// Whether database scheme members `schemes` *cover-embed* `f`: some cover
 /// of `f` has every dependency embedded in some scheme (§2.3).
 ///

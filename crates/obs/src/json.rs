@@ -131,14 +131,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a float value with three decimal places (the bench
-    /// harness's millisecond convention).
-    pub fn f64_ms(&mut self, v: f64) -> &mut Self {
-        self.comma();
-        let _ = write!(self.buf, "{v:.3}");
-        self
-    }
-
     /// Writes a pre-serialised JSON fragment verbatim.
     pub fn raw(&mut self, v: &str) -> &mut Self {
         self.comma();

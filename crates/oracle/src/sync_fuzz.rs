@@ -3,12 +3,13 @@
 //!
 //! Each seeded case draws a scheme (the same IR/non-IR family spread as
 //! the other arms), partitions a random op stream across 2–4 replicas
-//! at random rounds, and runs the deterministic sync simulator under a
-//! random fault plan (drop, delay/reorder, duplication, partition with
-//! heal, crash mid-sync at a random protocol step) and a random
-//! retry/backoff policy. After quiescence it asserts, for **every**
-//! replica, that the rendered state, the consistency verdict, and a
-//! probe-query answer are byte-identical to a **never-partitioned
+//! at random rounds, and runs the scenario — on the deterministic
+//! simulator, or with `--wire` over loopback sockets — under a random
+//! fault plan (drop, delay/reorder, duplication, partition with heal,
+//! crash mid-sync at a random protocol step) and a random retry/backoff
+//! policy. After quiescence it asserts, on either transport and for
+//! **every** replica, that the rendered state, the consistency verdict,
+//! and a probe-query answer are byte-identical to a **never-partitioned
 //! baseline**: one replica that held every op at its true origin from
 //! the start, so canonical-order replay yields the group's obligation.
 //!
@@ -20,14 +21,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use idr_obs::MetricsRegistry;
+use idr_obs::{MetricsRegistry, TraceHandle};
 use idr_relation::exec::Guard;
 use idr_relation::parse::render_tuple_line;
 use idr_relation::rng::SplitMix64;
 use idr_relation::{AttrSet, SymbolTable};
-use idr_sync::{
-    render_scenario, FaultPlan, Replica, Scenario, ScriptedOp, SyncPolicy, SyncReport, Transport,
-};
+use idr_sync::{render_scenario, FaultPlan, Replica, Scenario, ScriptedOp, SyncPolicy, Transport};
 
 use crate::crash::gen_scheme;
 use crate::gen::{corrupt_tuple, entity_tuple};
@@ -144,22 +143,25 @@ fn setup(detail: String) -> (String, String) {
     ("setup".to_string(), detail)
 }
 
-/// Runs a scenario and checks every replica against the baseline.
-/// Dispatches on the scenario's transport: the in-process simulator
-/// (with per-replica probe checks) or the real-socket wire runner,
-/// either reporting its rounds into `metrics`.
+/// Runs a scenario on its transport (reporting its rounds into
+/// `metrics`) and checks that it settled — no replica diverged, the
+/// group converged within the round budget — and that every replica's
+/// rendered state, verdict and probe answer equal the baseline's.
 fn check_scenario(s: &Scenario, metrics: Option<&Arc<MetricsRegistry>>) -> Checked {
     let guard = Guard::unlimited();
     let base = baseline(s, &guard).map_err(setup)?;
-    match s.transport {
-        Transport::Sim => check_sim_scenario(s, &base, &guard, metrics),
-        Transport::Wire => check_wire_scenario(s, &base, metrics),
-    }
-}
+    let probe: AttrSet = {
+        // Derived from the scenario seed so shrinking preserves it.
+        let mut rng = SplitMix64::new(s.seed);
+        s.db.scheme(rng.gen_range(0, s.db.len())).attrs()
+    };
+    let base_answer = base
+        .answer(probe, &guard)
+        .map_err(|e| setup(format!("baseline query: {e}")))?;
 
-/// The checks both runners share: no replica diverged, and the group
-/// converged within the round budget.
-fn settled(s: &Scenario, report: &SyncReport) -> Checked {
+    let (report, replicas) = s
+        .run(TraceHandle::none(), metrics.cloned())
+        .map_err(|e| setup(format!("{}: {e}", s.transport.name())))?;
     if let Some(d) = &report.diverged {
         return Err(("diverged".to_string(), d.clone()));
     }
@@ -173,73 +175,7 @@ fn settled(s: &Scenario, report: &SyncReport) -> Checked {
             ),
         ));
     }
-    Ok((report.rounds, report.ops_shipped, report.crashes))
-}
-
-/// The wire arm's check: the same scripted faults executed over real
-/// loopback sockets with journal files, then the report's converged
-/// state (every replica byte-checked against replica 0 by the runner)
-/// diffed against the never-partitioned baseline.
-fn check_wire_scenario(
-    s: &Scenario,
-    base: &Replica,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> Checked {
-    let report = idr_sync::run_wire_scenario(s, idr_obs::TraceHandle::none(), metrics.cloned())
-        .map_err(|e| setup(format!("wire: {e}")))?;
-    let stats = settled(s, &report)?;
-    if report.state_lines != base.state_lines() {
-        return Err((
-            "state".to_string(),
-            format!(
-                "wire group [{}] != baseline [{}]",
-                report.state_lines.join("; "),
-                base.state_lines().join("; ")
-            ),
-        ));
-    }
-    if report.consistent != base.is_consistent() {
-        return Err((
-            "verdict".to_string(),
-            format!(
-                "wire group consistent={} baseline={}",
-                report.consistent,
-                base.is_consistent()
-            ),
-        ));
-    }
-    Ok(stats)
-}
-
-fn check_sim_scenario(
-    s: &Scenario,
-    base: &Replica,
-    guard: &Guard,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> Checked {
-    let probe: AttrSet = {
-        // Derived from the scenario seed so shrinking preserves it.
-        let mut rng = SplitMix64::new(s.seed);
-        s.db.scheme(rng.gen_range(0, s.db.len())).attrs()
-    };
-    let base_answer = base
-        .answer(probe, guard)
-        .map_err(|e| setup(format!("baseline query: {e}")))?;
-
-    let mut sim = idr_sync::Simulator::new(
-        &s.db,
-        s.replicas,
-        s.ops.clone(),
-        s.plan.clone(),
-        s.policy,
-        s.seed,
-    )
-    .with_metrics(metrics.cloned());
-    let report = sim
-        .run(s.max_rounds)
-        .map_err(|e| setup(format!("sim: {e}")))?;
-    let stats = settled(s, &report)?;
-    for r in sim.replicas() {
+    for r in &replicas {
         if r.state_lines() != base.state_lines() {
             return Err((
                 "state".to_string(),
@@ -263,7 +199,7 @@ fn check_sim_scenario(
             ));
         }
         let got = r
-            .answer(probe, guard)
+            .answer(probe, &guard)
             .map_err(|e| setup(format!("replica {} query: {e}", r.id())))?;
         if got != base_answer {
             return Err((
@@ -272,7 +208,7 @@ fn check_sim_scenario(
             ));
         }
     }
-    Ok(stats)
+    Ok((report.rounds, report.ops_shipped, report.crashes))
 }
 
 /// Greedy shrink: drop ops, then crashes, then partitions, then zero

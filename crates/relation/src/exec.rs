@@ -265,16 +265,10 @@ impl CancelToken {
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
 }
 
 /// A point-in-time copy of a [`Guard`]'s work counters, read with one
-/// call ([`Guard::snapshot`]). The spent-getter triple survives as thin
-/// wrappers over this.
+/// call ([`Guard::snapshot`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GuardSnapshot {
     /// Chase steps (fd-rule applications) spent.
@@ -336,34 +330,15 @@ impl Guard {
         }
     }
 
-    /// A point-in-time copy of all three work counters — the one call
+    /// A point-in-time copy of all three work counters — the one read
     /// for reporting surfaces (metrics gauges, CLI summaries, bench
-    /// reports) that would otherwise read the `*_spent()` getters
-    /// separately.
+    /// reports).
     pub fn snapshot(&self) -> GuardSnapshot {
         GuardSnapshot {
             chase_steps: self.chase_steps.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
             enumeration: self.enumeration.load(Ordering::Relaxed),
         }
-    }
-
-    /// Chase steps spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn chase_steps_spent(&self) -> u64 {
-        self.snapshot().chase_steps
-    }
-
-    /// Lookups spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn lookups_spent(&self) -> u64 {
-        self.snapshot().lookups
-    }
-
-    /// Enumeration units spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn enumeration_spent(&self) -> u64 {
-        self.snapshot().enumeration
     }
 
     /// Checks deadline and cancellation without charging any resource.

@@ -30,18 +30,6 @@ pub struct SyncPolicy {
     pub round_timeout: u32,
 }
 
-impl SyncPolicy {
-    /// Retry every round, never back off, one-round timeout — the
-    /// most aggressive (and chattiest) policy.
-    pub fn eager() -> SyncPolicy {
-        SyncPolicy {
-            max_retries: u32::MAX,
-            backoff_rounds: 0,
-            round_timeout: 1,
-        }
-    }
-}
-
 impl Default for SyncPolicy {
     /// Three retries, two-round backoff, three-round timeout.
     fn default() -> SyncPolicy {

@@ -22,12 +22,16 @@
 //!   ([`replica::Replica`]); converged replicas are byte-identical in
 //!   rendered state, consistency verdict, and query answers.
 //!
-//! [`sim::Simulator`] drives N replicas through scripted fault plans
-//! ([`fault::FaultPlan`]: drop, delay/reorder, duplication, partition
-//! with heal, crash at any protocol step) deterministically from one
-//! seed; [`scenario`] gives the whole thing a replayable text format.
-//! The convergence oracle (`idr fuzz --sync`) asserts replicas under
-//! random faults converge to a never-partitioned baseline.
+//! A [`Scenario`] (with a replayable text format, [`scenario`]) drives
+//! N replicas through a scripted fault plan ([`fault::FaultPlan`]:
+//! drop, delay/reorder, duplication, partition with heal, crash at any
+//! protocol step) deterministically from one seed. [`Scenario::run`] is
+//! the one way to run it: one round loop ([`sim`]) whose messages move
+//! by one of two transports — the in-process simulator's message queue
+//! (the model) or real loopback sockets between replicas with journal
+//! files ([`net`], the implementation under test). The convergence
+//! oracle (`idr fuzz --sync [--wire]`) asserts replicas under random
+//! faults converge to a never-partitioned baseline.
 //!
 //! Replication sits *outside* the paper's results: the paper
 //! guarantees cheap local maintenance; this layer only transports the
@@ -49,11 +53,11 @@ pub use digest::{DigestStatus, JournalDigest, OriginDigest};
 pub use fault::{CrashPoint, CrashStep, FaultPlan, Partition, SyncPolicy};
 pub use journal::{AttachError, Journal};
 pub use net::{
-    connect, connect_with_retry, handshake, initiate_exchange, respond_exchange,
-    run_wire_scenario, scheme_digest, ExchangeFaults, ExchangeOutcome, FramedConn, Hello,
-    WireError, WireMsg, MAX_WIRE_FRAME, WIRE_VERSION,
+    connect, connect_with_retry, handshake, initiate_exchange, respond_exchange, scheme_digest,
+    ExchangeFaults, ExchangeOutcome, FramedConn, Hello, WireError, WireMsg, MAX_WIRE_FRAME,
+    WIRE_VERSION,
 };
 pub use proto::Message;
 pub use replica::Replica;
 pub use scenario::{parse_scenario, render_scenario, Scenario, Transport};
-pub use sim::{ScriptedOp, Simulator, SyncReport};
+pub use sim::{ScriptedOp, SyncReport};

@@ -23,13 +23,16 @@
 //!   feed received messages through [`Replica::receive`] — ops re-enter
 //!   the engine via the guarded `WriteHandle` replay path, verdicts
 //!   re-earned, never trusted off the wire.
-//! * **Model-checked runner** ([`run_wire_scenario`]): the same
-//!   scripted [`crate::fault::FaultPlan`]s the in-process simulator executes, replayed
-//!   over real loopback sockets against durable journals — partition
+//! * **Model-checked transport** (`transport: wire` in a
+//!   [`Scenario`]): the wire transport of the one scenario runner
+//!   ([`crate::sim`]). It shares the simulator's round loop — the
+//!   scripted [`FaultPlan`], crash-point book, trace and convergence
+//!   check; only the exchange step differs: one real loopback socket
+//!   exchange per ordered pair, against durable journals. Partition
 //!   and drop become connection kills, crash-mid-transfer cuts the ops
 //!   frame at a scripted byte and restarts the node from its journal
-//!   files. The simulator is the model; this runner checks the wire
-//!   implementation against the same convergence oracle.
+//!   files. The simulator is the model; this transport puts the wire
+//!   implementation under the same convergence oracle.
 //!
 //! The byte layout is specified normatively in `docs/WIRE.md`; the
 //! handshake tests assert the spec's worked example matches these
@@ -37,10 +40,10 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
+use idr_obs::TraceHandle;
 use idr_relation::exec::{ExecError, Guard};
 use idr_relation::parse::render_scheme_file;
 use idr_relation::rng::SplitMix64;
@@ -48,11 +51,11 @@ use idr_relation::DatabaseScheme;
 use idr_store::crc32::crc32;
 
 use crate::digest::{DigestStatus, JournalDigest, OriginDigest};
-use crate::fault::CrashStep;
-use crate::proto::{self, Message};
+use crate::fault::{CrashStep, FaultPlan};
+use crate::proto::Message;
 use crate::replica::Replica;
 use crate::scenario::Scenario;
-use crate::sim::SyncReport;
+use crate::sim::{trace_push, Group, Network};
 
 /// The wire protocol version both sides must speak.
 pub const WIRE_VERSION: u32 = 1;
@@ -433,8 +436,7 @@ pub fn handshake(conn: &mut FramedConn, mine: &Hello) -> Result<Hello, WireError
 }
 
 /// Scripted misbehaviour one exchange side executes — how the wire
-/// runner realises a [`FaultPlan`](crate::fault::FaultPlan) with real
-/// sockets.
+/// transport realises a [`FaultPlan`] with real sockets.
 #[derive(Clone, Debug, Default)]
 pub struct ExchangeFaults {
     /// Kill the connection right after the handshake (a partition: the
@@ -493,25 +495,12 @@ fn deliver(
     guard: &Guard,
     tracer: &TraceHandle,
 ) -> Result<bool, WireError> {
-    let step = CrashStep::parse(msg.step()).ok().filter(|s| faults.armed_crashes.contains(s));
-    if let Some(step) = step {
+    let step = msg.step();
+    if faults.armed_crashes.contains(&step) {
         // Crash on receipt: an ops push is cut at a scripted byte and
-        // its surviving prefix still reaches the durable journal (the
-        // WAL framing's torn-tail discipline); then the process dies.
-        if let Message::OpsPush {
-            origin,
-            from,
-            base_chain,
-            frame,
-        } = msg
-        {
-            let cut = (faults.cut_at % (frame.len() as u64 + 1)) as usize;
-            let torn = Message::OpsPush {
-                origin: *origin,
-                from: *from,
-                base_chain: *base_chain,
-                frame: frame[..cut].to_vec(),
-            };
+        // its surviving prefix still reaches the durable journal; then
+        // the process dies.
+        if let Some(torn) = msg.torn(|len| (faults.cut_at % (len as u64 + 1)) as usize) {
             let mut r = replica.lock().unwrap();
             r.receive(peer, &torn, guard).map_err(WireError::Exec)?;
         }
@@ -519,9 +508,9 @@ fn deliver(
         let _ = conn.stream().shutdown(Shutdown::Both);
         return Ok(false);
     }
-    let out = {
+    let (out, src) = {
         let mut r = replica.lock().unwrap();
-        r.receive(peer, msg, guard).map_err(WireError::Exec)?
+        (r.receive(peer, msg, guard).map_err(WireError::Exec)?, r.id())
     };
     outcome.appended += out.appended;
     if let Message::Digest { digest, .. } = msg {
@@ -530,27 +519,7 @@ fn deliver(
             && out.statuses.iter().all(|(_, s)| *s == DigestStatus::InSync);
     }
     for (_, reply) in &out.messages {
-        if let Message::OpsPush {
-            origin,
-            from,
-            ref frame,
-            ..
-        } = *reply
-        {
-            let count = proto::frame_record_count(frame);
-            outcome.shipped += count;
-            let src = {
-                let r = replica.lock().unwrap();
-                r.id()
-            };
-            tracer.emit_with(|| TraceEvent::SyncOpsShipped {
-                src,
-                dst: peer,
-                origin,
-                from,
-                count,
-            });
-        }
+        outcome.shipped += trace_push(tracer, src, peer, reply);
         conn.send(&WireMsg::Msg(reply.clone()))?;
         outcome.frames_sent += 1;
     }
@@ -722,13 +691,13 @@ pub fn connect_with_retry(
     Err(last.unwrap())
 }
 
-/// Per-exchange read deadline used by the wire runner. Loopback
+/// Per-exchange read deadline of the wire transport. Loopback
 /// exchanges complete in microseconds; the deadline only bounds hangs.
 const RUNNER_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Runs a scripted scenario over real loopback sockets with durable
-/// journals: the wire implementation under the same fault model and
-/// convergence oracle as the in-process simulator.
+/// The wire transport of the scenario runner ([`crate::sim`]): one
+/// real loopback socket exchange per ordered pair and round, between
+/// replicas whose journals are files.
 ///
 /// Fault realisation differs from the simulator where the transport
 /// does: partition and drop become connection kills (after the
@@ -736,269 +705,144 @@ const RUNNER_TIMEOUT: Duration = Duration::from_secs(5);
 /// have no wire analogue on a synchronous connection and are ignored,
 /// and a crash restarts the node **from its journal files** rather
 /// than from in-memory journals.
-pub fn run_wire_scenario(
-    s: &Scenario,
-    tracer: TraceHandle,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> Result<SyncReport, ExecError> {
-    let guard = Guard::unlimited();
-    let n = s.replicas;
-    let tmp = idr_store::TempDir::new("wire-run");
-    let mut nodes = Vec::with_capacity(n);
-    for k in 0..n {
-        let dir = tmp.path().join(format!("node-{k}"));
-        nodes.push(Mutex::new(Replica::open_durable(
-            k, n, &s.db, &dir, false, &guard,
-        )?));
-    }
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for k in 0..n {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
-            ExecError::from(idr_store::StoreError::Io {
-                operation: format!("bind loopback listener for node {k}"),
-                path: std::path::PathBuf::new(),
-                message: e.to_string(),
-            })
-        })?;
-        addrs.push(l.local_addr().expect("listener has a local addr"));
-        listeners.push(l);
-    }
-    let hellos: Vec<Hello> = (0..n).map(|k| Hello::new(k, n, &s.db)).collect();
-    let mut rng = SplitMix64::new(s.seed);
-    let mut crash_fired = vec![false; s.plan.crashes.len()];
-    let round_metrics =
-        metrics.map(|m| (m.counter("sync.rounds"), m.latency_histogram("sync.round_us")));
-    let mut report = SyncReport {
-        converged: false,
-        diverged: None,
-        rounds: 0,
-        ops_shipped: 0,
-        messages_sent: 0,
-        dropped: 0,
-        duplicated: 0,
-        delayed: 0,
-        crashes: 0,
-        consistent: true,
-        state_lines: Vec::new(),
-        trace: Vec::new(),
-    };
-    let last_op_round = s.ops.iter().map(|o| o.round).max().unwrap_or(0);
-    let quiet_after = s.plan.last_scripted_round().max(last_op_round);
+pub(crate) struct WireNet {
+    /// Holds the replicas' journal files for the run.
+    _dir: idr_store::TempDir,
+    listeners: Vec<TcpListener>,
+    addrs: Vec<SocketAddr>,
+    hellos: Vec<Hello>,
+    plan: FaultPlan,
+    rng: SplitMix64,
+}
 
-    // Which crash points are still pending for `replica` at `step`s a
-    // given exchange side can encounter.
-    let pending = |fired: &[bool], round: usize, replica: usize, steps: &[CrashStep]| {
-        s.plan
-            .crashes
-            .iter()
-            .enumerate()
-            .filter(|(k, c)| {
-                !fired[*k] && c.replica == replica && round >= c.round && steps.contains(&c.step)
+impl WireNet {
+    /// Opens a durable replica and a loopback listener per node of `s`.
+    pub(crate) fn open(s: &Scenario) -> Result<(WireNet, Vec<Replica>), ExecError> {
+        let guard = Guard::unlimited();
+        let n = s.replicas;
+        let dir = idr_store::TempDir::new("wire-run");
+        let replicas = (0..n)
+            .map(|k| {
+                let path = dir.path().join(format!("node-{k}"));
+                Replica::open_durable(k, n, &s.db, &path, false, &guard)
             })
-            .map(|(_, c)| c.step)
-            .collect::<Vec<_>>()
-    };
-    let mark_fired =
-        |fired: &mut [bool], round: usize, replica: usize, step: CrashStep| {
-            if let Some((k, _)) = s.plan.crashes.iter().enumerate().find(|(k, c)| {
-                !fired[*k] && c.replica == replica && round >= c.round && c.step == step
-            }) {
-                fired[k] = true;
-            }
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut listeners = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
+        for k in 0..n {
+            let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
+                ExecError::from(idr_store::StoreError::Io {
+                    operation: format!("bind loopback listener for node {k}"),
+                    path: std::path::PathBuf::new(),
+                    message: e.to_string(),
+                })
+            })?;
+            addrs.push(l.local_addr().expect("listener has a local addr"));
+            listeners.push(l);
+        }
+        let net = WireNet {
+            _dir: dir,
+            listeners,
+            addrs,
+            hellos: (0..n).map(|k| Hello::new(k, n, &s.db)).collect(),
+            plan: s.plan.clone(),
+            rng: SplitMix64::new(s.seed),
         };
+        Ok((net, replicas))
+    }
+}
 
-    for round in 0..s.max_rounds {
-        report.rounds = round + 1;
-        let t0 = std::time::Instant::now();
-
-        // 1. Start-of-round crashes: the node restarts from its
-        // journal files.
-        for (k, &c) in s.plan.crashes.iter().enumerate() {
-            if !crash_fired[k] && c.step == CrashStep::StartOfRound && round >= c.round {
-                crash_fired[k] = true;
-                report.crashes += 1;
-                nodes[c.replica].lock().unwrap().reopen(&guard)?;
-                tracer.emit_with(|| TraceEvent::SyncReplicaCrashed {
-                    replica: c.replica,
-                    step: Arc::from("start"),
-                });
-            }
-        }
-
-        // 2. Scripted client ops.
-        for op in s.ops.iter().filter(|o| o.round == round) {
-            nodes[op.replica]
-                .lock()
-                .unwrap()
-                .client_op(&op.line, &guard)?;
-        }
-
-        // 3. One real-socket exchange per ordered pair. Every fault
-        // decision is drawn on this thread before the sockets move, so
-        // the scripted behaviour is deterministic in the seed.
+impl Network for WireNet {
+    /// One socket exchange per ordered pair. Every fault decision is
+    /// drawn on this thread before the sockets move, so the scripted
+    /// behaviour is deterministic in the seed.
+    fn exchange(&mut self, round: usize, g: &mut Group<'_>) -> Result<usize, ExecError> {
+        let n = self.hellos.len();
         let mut delivered = 0usize;
         for i in 0..n {
             for j in 0..n {
                 if i == j {
                     continue;
                 }
-                let blocked = s.plan.blocked(round, i, j);
-                let drop_roll = rng.gen_pct(s.plan.drop_pct);
-                let resp_cut = rng.next_u64();
-                let init_cut = rng.next_u64();
+                let blocked = self.plan.blocked(round, i, j);
+                let drop_roll = self.rng.gen_pct(self.plan.drop_pct);
+                let resp_cut = self.rng.next_u64();
+                let init_cut = self.rng.next_u64();
+                let armed = |replica: usize, steps: [CrashStep; 2]| {
+                    steps
+                        .into_iter()
+                        .filter(|&step| g.crash_due(round, replica, step))
+                        .collect()
+                };
                 let resp_faults = ExchangeFaults {
                     kill_after_handshake: blocked,
                     kill_before_reply: !blocked && drop_roll,
-                    armed_crashes: pending(
-                        &crash_fired,
-                        round,
-                        j,
-                        &[CrashStep::DigestRequest, CrashStep::OpsPush],
-                    ),
+                    armed_crashes: armed(j, [CrashStep::DigestRequest, CrashStep::OpsPush]),
                     cut_at: resp_cut,
                 };
                 let init_faults = ExchangeFaults {
-                    kill_after_handshake: false,
-                    kill_before_reply: false,
-                    armed_crashes: pending(
-                        &crash_fired,
-                        round,
-                        i,
-                        &[CrashStep::DigestReply, CrashStep::OpsPush],
-                    ),
+                    armed_crashes: armed(i, [CrashStep::DigestReply, CrashStep::OpsPush]),
                     cut_at: init_cut,
+                    ..ExchangeFaults::none()
                 };
-                let Ok(stream) = connect(&addrs[j].to_string(), RUNNER_TIMEOUT) else {
-                    report.dropped += 1;
+                let Ok(stream) = connect(&self.addrs[j].to_string(), RUNNER_TIMEOUT) else {
+                    g.report.dropped += 1;
                     continue;
                 };
                 let (resp_out, init_out) = std::thread::scope(|scope| {
                     let responder = scope.spawn(|| {
-                        let (accepted, _) = listeners[j].accept().map_err(|e| {
-                            io_err(&format!("accept at node {j}"), &e)
-                        })?;
+                        let (accepted, _) = self.listeners[j]
+                            .accept()
+                            .map_err(|e| io_err(&format!("accept at node {j}"), &e))?;
                         respond_exchange(
                             accepted,
-                            &hellos[j],
-                            &nodes[j],
+                            &self.hellos[j],
+                            &g.replicas[j],
                             &resp_faults,
                             RUNNER_TIMEOUT,
-                            &guard,
-                            &tracer,
+                            &g.guard,
+                            &g.tracer,
                         )
                     });
                     let init_out = initiate_exchange(
                         stream,
-                        &hellos[i],
-                        &nodes[i],
+                        &self.hellos[i],
+                        &g.replicas[i],
                         &init_faults,
                         RUNNER_TIMEOUT,
-                        &guard,
-                        &tracer,
+                        &g.guard,
+                        &g.tracer,
                     );
                     (responder.join().expect("responder thread"), init_out)
                 });
                 for (side, out) in [(j, resp_out), (i, init_out)] {
                     match out {
                         Ok(o) => {
-                            report.ops_shipped += o.shipped;
-                            report.messages_sent += o.frames_sent;
+                            g.report.ops_shipped += o.shipped;
+                            g.report.messages_sent += o.frames_sent;
                             delivered += o.frames_sent;
                             if o.killed {
-                                report.dropped += 1;
+                                g.report.dropped += 1;
                             }
                             if let Some(step) = o.crashed {
-                                mark_fired(&mut crash_fired, round, side, step);
-                                report.crashes += 1;
-                                nodes[side].lock().unwrap().reopen(&guard)?;
-                                tracer.emit_with(|| TraceEvent::SyncReplicaCrashed {
-                                    replica: side,
-                                    step: Arc::from(step.name()),
-                                });
+                                g.crash(round, side, step)?;
                             }
                         }
                         Err(WireError::Exec(e)) => return Err(e),
-                        Err(_) => report.dropped += 1,
+                        Err(_) => g.report.dropped += 1,
                     }
                 }
             }
         }
-
-        // 4. Round trace + convergence check, mirroring the simulator.
-        let digests: Vec<JournalDigest> = nodes
-            .iter()
-            .map(|m| m.lock().unwrap().digest())
-            .collect();
-        let in_sync = digests.iter().skip(1).all(|d| *d == digests[0]);
-        let rendered: Vec<String> = digests
-            .iter()
-            .enumerate()
-            .map(|(k, d)| format!("r{k}={}", d.render()))
-            .collect();
-        report.trace.push(format!(
-            "round {round}: {} in-flight=0 {}",
-            rendered.join(" "),
-            if in_sync { "in-sync" } else { "syncing" }
-        ));
-        tracer.emit_with(|| TraceEvent::SyncRoundCompleted {
-            round,
-            messages: delivered,
-            in_sync,
-        });
-        if let Some((rounds, round_us)) = &round_metrics {
-            rounds.inc();
-            round_us.observe_duration(t0.elapsed());
-        }
-        if round >= quiet_after && in_sync {
-            let first = nodes[0].lock().unwrap();
-            let lines = first.state_lines();
-            let verdict = first.is_consistent();
-            drop(first);
-            let mut matched = true;
-            for (k, node) in nodes.iter().enumerate().skip(1) {
-                let r = node.lock().unwrap();
-                if r.state_lines() != lines || r.is_consistent() != verdict {
-                    report.diverged = Some(format!(
-                        "digests equal but replica {k} state differs from replica 0"
-                    ));
-                    matched = false;
-                    break;
-                }
-            }
-            if matched {
-                report.converged = true;
-            }
-            break;
-        }
+        Ok(delivered)
     }
-
-    {
-        let sample = nodes[0].lock().unwrap();
-        report.consistent = sample.is_consistent();
-        report.state_lines = sample.state_lines();
-    }
-    if report.diverged.is_none() {
-        report.diverged = nodes.iter().enumerate().find_map(|(k, m)| {
-            m.lock()
-                .unwrap()
-                .diverged()
-                .map(|d| format!("replica {k}: {d}"))
-        });
-    }
-    if report.converged {
-        tracer.emit_with(|| TraceEvent::SyncConverged {
-            rounds: report.rounds,
-            ops_shipped: report.ops_shipped,
-        });
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CrashPoint, FaultPlan, Partition, SyncPolicy};
+    use crate::fault::{CrashPoint, Partition, SyncPolicy};
+    use crate::proto;
     use crate::sim::ScriptedOp;
     use idr_relation::parse::parse_scheme;
 
@@ -1121,7 +965,7 @@ mod tests {
                 },
             ],
         };
-        let report = run_wire_scenario(&s, TraceHandle::none(), None).unwrap();
+        let (report, _) = s.run(TraceHandle::none(), None).unwrap();
         assert!(report.converged, "{:?}", report.trace);
         assert!(report.diverged.is_none());
         assert_eq!(report.state_lines.len(), 2);
@@ -1163,7 +1007,7 @@ mod tests {
             ops,
             transport: crate::scenario::Transport::Wire,
         };
-        let report = run_wire_scenario(&s, TraceHandle::none(), None).unwrap();
+        let (report, _) = s.run(TraceHandle::none(), None).unwrap();
         assert!(report.converged, "{:?}", report.trace);
         assert!(report.diverged.is_none());
         assert_eq!(report.state_lines.len(), 5);

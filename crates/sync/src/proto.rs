@@ -22,6 +22,7 @@ use std::path::Path;
 use idr_store::wal::{self, RECORD_HEADER_LEN};
 
 use crate::digest::JournalDigest;
+use crate::fault::CrashStep;
 
 /// An anti-entropy protocol message.
 #[derive(Clone, Debug)]
@@ -50,16 +51,38 @@ pub enum Message {
 }
 
 impl Message {
-    /// The protocol step this message belongs to, for traces and crash
-    /// scripting: `digest_request`, `digest_reply` or `ops_push`.
-    pub fn step(&self) -> &'static str {
+    /// The protocol step receiving this message is, for traces and crash
+    /// scripting.
+    pub fn step(&self) -> CrashStep {
         match self {
             Message::Digest {
                 want_reply: true, ..
-            } => "digest_request",
-            Message::Digest { .. } => "digest_reply",
-            Message::OpsPush { .. } => "ops_push",
+            } => CrashStep::DigestRequest,
+            Message::Digest { .. } => CrashStep::DigestReply,
+            Message::OpsPush { .. } => CrashStep::OpsPush,
         }
+    }
+
+    /// What of this message reaches a replica that crashes receiving it:
+    /// an ops push cut at byte `cut(frame length)` (in `0..=len`), whose
+    /// complete-record prefix still attaches — the WAL framing's
+    /// torn-tail discipline. `None` for a digest, which dies whole.
+    pub fn torn(&self, cut: impl FnOnce(usize) -> usize) -> Option<Message> {
+        let Message::OpsPush {
+            origin,
+            from,
+            base_chain,
+            frame,
+        } = self
+        else {
+            return None;
+        };
+        Some(Message::OpsPush {
+            origin: *origin,
+            from: *from,
+            base_chain: *base_chain,
+            frame: frame[..cut(frame.len())].to_vec(),
+        })
     }
 }
 

@@ -22,7 +22,7 @@
 //! re-earned, never trusted, the same discipline crash recovery uses.
 //!
 //! A crash wipes the materialised state but not the journals (the
-//! durable log); [`Replica::crash`] rebuilds exactly as a restarted
+//! durable log); [`Replica::reopen`] rebuilds exactly as a restarted
 //! process would.
 
 use std::path::{Path, PathBuf};
@@ -91,7 +91,7 @@ impl Replica {
     /// WAL-framed segments `origin-K.log` under `dir` (created if
     /// missing). Recovery re-earns the materialised state by
     /// canonical-order replay of the recovered journals — the same
-    /// discipline [`Replica::crash`] exercises in memory. `sync_writes`
+    /// discipline [`Replica::reopen`] exercises in memory. `sync_writes`
     /// selects whether appends fsync before acknowledging.
     pub fn open_durable(
         id: usize,
@@ -103,36 +103,25 @@ impl Replica {
     ) -> Result<Replica, ExecError> {
         let mut r = Replica::new(id, n, db);
         r.durable = Some((dir.to_path_buf(), sync_writes));
-        r.load_journals(guard)?;
+        r.reopen(guard)?;
         Ok(r)
     }
 
-    /// Reloads every journal from the durable directory and rebuilds
-    /// the state: restart-from-disk semantics, the wire runner's
-    /// process-kill crash. In-memory replicas fall back to
-    /// [`Replica::crash`] (journals survive, state is rebuilt).
+    /// Crash-and-restart: the materialised state is lost, the journals
+    /// (the durable log) survive, and the state is rebuilt by
+    /// canonical-order replay — re-earning every verdict, exactly as
+    /// crash recovery does. A durable replica first reloads its journals
+    /// from their segment files, as a restarted process would; an
+    /// in-memory one keeps the journals it holds.
     pub fn reopen(&mut self, guard: &Guard) -> Result<(), ExecError> {
-        if self.durable.is_some() {
-            self.load_journals(guard)
-        } else {
-            self.crash(guard)
+        if let Some((dir, sync_writes)) = &self.durable {
+            self.journals = (0..self.journals.len())
+                .map(|k| {
+                    let path = dir.join(format!("origin-{k}.log"));
+                    Journal::open_durable(&path, *sync_writes).map(|(j, _torn)| j)
+                })
+                .collect::<Result<_, _>>()?;
         }
-    }
-
-    /// (Re)opens the per-origin journal segments and rebuilds the
-    /// materialised state from them.
-    fn load_journals(&mut self, guard: &Guard) -> Result<(), ExecError> {
-        let (dir, sync_writes) = self
-            .durable
-            .clone()
-            .expect("load_journals requires a durable replica");
-        let mut journals = Vec::with_capacity(self.journals.len());
-        for k in 0..self.journals.len() {
-            let path = dir.join(format!("origin-{k}.log"));
-            let (j, _torn) = Journal::open_durable(&path, sync_writes)?;
-            journals.push(j);
-        }
-        self.journals = journals;
         self.applied.clear();
         self.state = DatabaseState::empty(self.engine.scheme());
         self.consistent = true;
@@ -296,17 +285,6 @@ impl Replica {
         }
     }
 
-    /// Simulates a crash-and-restart: the materialised state is lost,
-    /// the journals (the durable log) survive, and the state is rebuilt
-    /// by canonical-order replay — re-earning every verdict, exactly as
-    /// crash recovery does.
-    pub fn crash(&mut self, guard: &Guard) -> Result<(), ExecError> {
-        self.applied.clear();
-        self.state = DatabaseState::empty(self.engine.scheme());
-        self.consistent = true;
-        self.refresh(guard)
-    }
-
     /// The canonical total order over every op this replica holds.
     fn canonical_order(&self) -> Vec<OpId> {
         let mut order: Vec<OpId> = Vec::with_capacity(self.ops_held() as usize);
@@ -446,7 +424,7 @@ mod tests {
         }
         exchange(&mut a, &mut b, &guard);
         let before = a.state_lines();
-        a.crash(&guard).unwrap();
+        a.reopen(&guard).unwrap();
         assert_eq!(a.state_lines(), before);
         assert_eq!(a.digest(), b.digest());
     }

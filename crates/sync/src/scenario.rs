@@ -27,22 +27,28 @@
 //! round-trips through [`render_scenario`], which is how failing fuzz
 //! cases become replayable fixture files.
 
-use idr_obs::TraceHandle;
+use std::sync::Arc;
+
+use idr_obs::{MetricsRegistry, TraceHandle};
+use idr_relation::exec::ExecError;
 use idr_relation::parse::{parse_scheme, render_scheme_file};
 use idr_relation::DatabaseScheme;
 
 use crate::fault::{CrashPoint, CrashStep, FaultPlan, Partition, SyncPolicy};
-use crate::sim::{ScriptedOp, Simulator, SyncReport};
+use crate::net::WireNet;
+use crate::replica::Replica;
+use crate::sim::{self, ScriptedOp, SimNet, SyncReport};
 
-/// Which runner executes a scenario.
+/// How a scenario's messages move between its replicas: the transport
+/// of the one round loop ([`crate::sim`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
-    /// The deterministic in-process simulator (the model).
+    /// The deterministic in-process simulator's message queue (the
+    /// model).
     #[default]
     Sim,
-    /// Real loopback sockets with durable journals
-    /// ([`crate::net::run_wire_scenario`] — the implementation under
-    /// test).
+    /// Real loopback sockets between replicas with durable journals
+    /// ([`crate::net`] — the implementation under test).
     Wire,
 }
 
@@ -56,7 +62,7 @@ impl Transport {
     }
 }
 
-/// A parsed scenario: everything a [`Simulator`] run needs.
+/// A parsed scenario: everything a run needs.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// The scheme the replicas serve.
@@ -73,38 +79,35 @@ pub struct Scenario {
     pub plan: FaultPlan,
     /// The scripted client ops.
     pub ops: Vec<ScriptedOp>,
-    /// Which runner executes it (`transport:` directive, default sim).
+    /// How its messages move (`transport:` directive, default sim).
     pub transport: Transport,
 }
 
 impl Scenario {
-    /// Runs the scenario, attaching `tracer` to the simulator.
-    pub fn run(&self, tracer: TraceHandle) -> Result<SyncReport, idr_relation::exec::ExecError> {
-        self.run_with(tracer, None)
-    }
-
-    /// Runs the scenario with full observability: `tracer` for the
-    /// deterministic `sync_*` events, `metrics` for wall-clock round
-    /// timings (`sync.round_us` / `sync.rounds`).
-    pub fn run_with(
+    /// Runs the scenario until its replicas converge or `max_rounds`
+    /// run out, whichever comes first: `tracer` receives the
+    /// deterministic `sync_*` events, `metrics` the wall-clock round
+    /// timings (`sync.round_us` / `sync.rounds`). Returns the report
+    /// and the final replicas. A wire run's journal files are removed
+    /// when it ends; its replicas keep their journals and state in
+    /// memory.
+    pub fn run(
         &self,
         tracer: TraceHandle,
-        metrics: Option<std::sync::Arc<idr_obs::MetricsRegistry>>,
-    ) -> Result<SyncReport, idr_relation::exec::ExecError> {
-        if self.transport == Transport::Wire {
-            return crate::net::run_wire_scenario(self, tracer, metrics);
+        metrics: Option<Arc<MetricsRegistry>>,
+    ) -> Result<(SyncReport, Vec<Replica>), ExecError> {
+        match self.transport {
+            Transport::Sim => {
+                let replicas = (0..self.replicas)
+                    .map(|k| Replica::new(k, self.replicas, &self.db))
+                    .collect();
+                sim::run(self, SimNet::new(self), replicas, tracer, metrics)
+            }
+            Transport::Wire => {
+                let (net, replicas) = WireNet::open(self)?;
+                sim::run(self, net, replicas, tracer, metrics)
+            }
         }
-        let mut sim = Simulator::new(
-            &self.db,
-            self.replicas,
-            self.ops.clone(),
-            self.plan.clone(),
-            self.policy,
-            self.seed,
-        )
-        .with_observability(tracer)
-        .with_metrics(metrics);
-        sim.run(self.max_rounds)
     }
 }
 
@@ -410,7 +413,7 @@ op: 1 2 insert R2: B=b C=c
     #[test]
     fn runs_to_convergence() {
         let s = parse_scenario(EXAMPLE).unwrap();
-        let report = s.run(TraceHandle::none()).unwrap();
+        let (report, _) = s.run(TraceHandle::none(), None).unwrap();
         assert!(report.converged, "{:?}", report.trace);
         assert!(report.diverged.is_none());
         assert_eq!(report.state_lines.len(), 2);

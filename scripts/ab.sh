@@ -5,7 +5,12 @@
 #   scripts/ab.sh PARENT_REV WORKLOAD PAIRS
 #
 # Extracts PARENT_REV with `git archive` into a temporary directory
-# outside the repository, then runs
+# outside the repository, and copies the working tree there once as
+# well: its tracked files and its untracked files that are not ignored,
+# as they are when the script starts. `perfbench/run.py` builds before
+# every run, so a side run from the live tree would measure whatever
+# the tree holds at that moment; an edit made while the script runs
+# cannot reach the measured change side this way. It then runs
 # `python3 perfbench/run.py --workload WORKLOAD --seed i --seconds S --trace 0`
 # (S is BENCHMARK.json's `run_seconds`) for i = 1..PAIRS, alternating parent and
 # working tree and swapping which goes first on every other pair, so
@@ -23,10 +28,8 @@
 # metric is flagged `WORSE` or `UNRESOLVED` or any run failed, and 0
 # otherwise.
 #
-# The parent's build and data live in the temporary directory, removed
-# on exit. The working tree builds into `.bench_build` and runs in
-# `.bench_data` (both gitignored), as `perfbench/run.py` always does, so
-# `git status` stays clean and nothing is written under perfbench/.
+# Both sides build and run inside the temporary directory, removed on
+# exit, so nothing is written to the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,12 +39,15 @@ if [ $# -ne 3 ]; then
 fi
 PARENT_REV=$1 WORKLOAD=$2 PAIRS=$3
 SECONDS_PER_RUN=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
-ROOT=$PWD
 
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/idr-ab.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT
-mkdir "$TMP/parent"
+mkdir "$TMP/parent" "$TMP/change"
 git archive "$PARENT_REV" | tar -x -C "$TMP/parent"
+# A tracked file deleted in the working tree is listed but not copied.
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+  tar --null -T - -cf - | tar -x -C "$TMP/change"
 
 # One run: side name, source root, target dir, seed. Appends the result
 # line (the last stdout line of run.py) to $TMP/<side>.jsonl, or a
@@ -63,14 +69,14 @@ run() {
 for ((i = 1; i <= PAIRS; i++)); do
   if ((i % 2)); then
     run parent "$TMP/parent" "$TMP/parent/.bench_build" "$i"
-    run change "$ROOT" "$ROOT/.bench_build" "$i"
+    run change "$TMP/change" "$TMP/change/.bench_build" "$i"
   else
-    run change "$ROOT" "$ROOT/.bench_build" "$i"
+    run change "$TMP/change" "$TMP/change/.bench_build" "$i"
     run parent "$TMP/parent" "$TMP/parent/.bench_build" "$i"
   fi
 done
 
-python3 - "$ROOT/BENCHMARK.json" "$TMP/parent.jsonl" "$TMP/change.jsonl" "$PARENT_REV" "$WORKLOAD" <<'EOF'
+python3 - "$TMP/change/BENCHMARK.json" "$TMP/parent.jsonl" "$TMP/change.jsonl" "$PARENT_REV" "$WORKLOAD" <<'EOF'
 import json
 import statistics
 import sys

@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# Byte-identical gate for the fuzz arms: runs every `idr fuzz` step of
-# .github/workflows/ci.yml, with its seed, case count and flags, on the
-# `idr` binary of a parent revision and on the working tree's, and
-# compares each arm's stdout and exit code:
+# Byte-identical gate for the fuzz arms and the replication scenarios:
+# runs every `idr fuzz` step of .github/workflows/ci.yml, with its seed,
+# case count and flags, and `idr sync` and `idr sync --wire` on every
+# examples/scenarios/*.txt, on the `idr` binary of a parent revision and
+# on the working tree's, and compares each arm's stdout and exit code:
 #
 #   scripts/fuzzdiff.sh PARENT_REV
 #
 # Extracts PARENT_REV with `git archive` into a temporary directory
 # outside the repository (as scripts/ab.sh does) and builds both
-# binaries in release mode. The arms are read from ci.yml, so the gate
-# follows CI: each `run: ./target/release/idr fuzz ...` line is one arm,
-# named by the `- name:` line of its step. Every run gets a fresh
-# working directory, so the relative `--out` and `--metrics` paths
-# resolve alike on both sides and nothing is written to the repository.
+# binaries in release mode. The fuzz arms are read from ci.yml, so the
+# gate follows CI: each `run: ./target/release/idr fuzz ...` line is one
+# arm, named by the `- name:` line of its step. The scenario arms run
+# the working tree's scenario files on both binaries. Every run gets a
+# fresh working directory, so the relative `--out` and `--metrics`
+# paths resolve alike on both sides and nothing is written to the
+# repository.
 #
 # The parent runs each arm twice. An arm whose two parent runs differ
 # in stdout or exit code is reported `nondeterministic` and is not
@@ -55,6 +58,10 @@ if [ ${#ARMS[@]} -eq 0 ]; then
   echo "fuzzdiff: no idr fuzz step found in .github/workflows/ci.yml" >&2
   exit 2
 fi
+for scenario in examples/scenarios/*.txt; do
+  ARMS+=("sync $scenario"$'\t'"sync $ROOT/$scenario")
+  ARMS+=("sync --wire $scenario"$'\t'"sync --wire $ROOT/$scenario")
+done
 
 # One run: binary, arguments, output prefix. Writes <prefix>.out (stdout)
 # and <prefix>.code (exit code).

@@ -92,15 +92,19 @@ fuzz crash-concurrent --crash --concurrent --seed 20260806 --cases 100
 fuzz batch --batch --seed 42 --cases 50
 
 # Wire-transport replication fuzzing (docs/WIRE.md): the same scripted
-# fault plans replayed over real loopback sockets, each replica holding
-# durable journal files on disk, diffed byte-for-byte against the
-# never-partitioned baseline. Exits 8 on any miss.
+# fault plans run over real loopback sockets, each replica holding
+# durable journal files on disk; every replica's state, verdict and
+# probe answer diffed byte-for-byte against the never-partitioned
+# baseline. Exits 8 on any miss.
 fuzz wire --sync --wire --seed 42 --cases 50
 
-# The checked-in demo scenario must converge (and exercises the CLI
-# round-trace path end to end) — on the simulator and over sockets.
-./target/release/idr sync examples/scenarios/partition-heal.txt > /dev/null
-./target/release/idr sync --wire examples/scenarios/partition-heal.txt > /dev/null
+# The checked-in scenarios must converge (and exercise the CLI
+# round-trace path end to end) — on the simulator and over sockets:
+# the partition-and-heal demo, and a crash at every protocol step.
+for scenario in examples/scenarios/partition-heal.txt examples/scenarios/crash-every-step.txt; do
+  ./target/release/idr sync "$scenario" > /dev/null
+  ./target/release/idr sync --wire "$scenario" > /dev/null
+done
 
 # Two-process loopback convergence smoke: two real `idr serve` peers on
 # ephemeral ports (published via DIR/listen.addr), one client op each,

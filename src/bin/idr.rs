@@ -116,14 +116,16 @@
 //! its round budget (or diverges outright) exits 8. The scenario format
 //! is documented in `idr_sync::scenario` and demonstrated under
 //! `examples/`. A scenario with `transport: wire` (or the `--wire`
-//! flag) runs over real loopback sockets with journal files on disk
-//! instead of the in-process simulator — same fault plan, same
-//! convergence oracle. `idr fuzz --sync` is the matching oracle:
+//! flag) moves its messages over real loopback sockets between
+//! replicas with journal files on disk instead of through the
+//! simulator's message queue — same round loop, same fault plan, same
+//! convergence check. `idr fuzz --sync` is the matching oracle:
 //! random op streams partitioned across replicas under random fault
 //! plans, with every replica's converged state checked byte-for-byte
 //! against a never-partitioned baseline; failures shrink to replayable
-//! scenario files under `--out`. `idr fuzz --sync --wire` replays the
-//! same scripted fault plans over loopback sockets.
+//! scenario files under `--out`. `idr fuzz --sync --wire` runs the
+//! same scripted fault plans, and the same per-replica checks, over
+//! loopback sockets.
 //!
 //! `idr serve --listen ADDR --peer ADDR --origin K --origins N` is the
 //! real thing: replicas as separate processes exchanging the same
@@ -1089,8 +1091,8 @@ fn replay_fixture(path: &str) -> ExitCode {
 /// `idr sync [--wire] <scenario-file>`: runs one scripted replication
 /// scenario and prints the round-by-round digest trace. The scenario's
 /// own `transport:` directive picks the deterministic in-process
-/// simulator (the default) or the loopback-socket wire runner;
-/// `--wire` forces the wire runner regardless. Exit 0 when the
+/// simulator (the default) or loopback sockets; `--wire` forces the
+/// sockets regardless. Exit 0 when the
 /// replicas converge to a byte-identical state inside the round
 /// budget, [`EXIT_DIVERGENCE`] otherwise, [`EXIT_PARSE`] on a
 /// malformed scenario file.
@@ -1119,8 +1121,8 @@ fn sync_cmd(rest: &[String], obs: &Observability) -> ExitCode {
     if wire {
         scenario.transport = sync::Transport::Wire;
     }
-    let report = match scenario.run_with(obs.tracer.clone(), obs.metrics.clone()) {
-        Ok(r) => r,
+    let report = match scenario.run(obs.tracer.clone(), obs.metrics.clone()) {
+        Ok((report, _)) => report,
         Err(e) => return fail(exec_exit(&e), &format!("{e}")),
     };
     for line in &report.trace {

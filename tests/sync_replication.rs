@@ -12,6 +12,9 @@
 //! * A partition that never heals prevents convergence inside the round
 //!   budget (the liveness failure the fuzzer classifies), and the same
 //!   plan with the partition healed converges.
+//! * A crash at every protocol step fires on both transports, simulated
+//!   and loopback sockets, and every replica still ends at the
+//!   never-partitioned baseline.
 //! * A bounded run of the replication-convergence fuzzer (the oracle's
 //!   sixth arm) is clean.
 
@@ -19,8 +22,8 @@ use independence_reducible::oracle::{sync_fuzz, Campaign};
 use independence_reducible::prelude::*;
 use independence_reducible::relation::parse::parse_scheme;
 use independence_reducible::sync::{
-    parse_scenario, render_scenario, FaultPlan, Partition, ScriptedOp, Simulator, SyncPolicy,
-    Transport,
+    parse_scenario, render_scenario, FaultPlan, Partition, Replica, Scenario, ScriptedOp,
+    SyncPolicy, SyncReport, Transport,
 };
 
 const EXAMPLE1: &str = "
@@ -43,6 +46,45 @@ fn ops(script: &[(usize, usize, &str)]) -> Vec<ScriptedOp> {
         .collect()
 }
 
+/// A simulated scenario over the paper's Example 1.
+fn scenario(
+    replicas: usize,
+    script: &[(usize, usize, &str)],
+    plan: FaultPlan,
+    seed: u64,
+    max_rounds: usize,
+) -> Scenario {
+    Scenario {
+        db: parse_scheme(EXAMPLE1).unwrap(),
+        replicas,
+        seed,
+        max_rounds,
+        policy: SyncPolicy::default(),
+        plan,
+        ops: ops(script),
+        transport: Transport::Sim,
+    }
+}
+
+fn run(s: &Scenario) -> (SyncReport, Vec<Replica>) {
+    s.run(TraceHandle::default(), None).expect("within budget")
+}
+
+/// The group's obligation: one replica holding every op at its true
+/// origin, in the runner's application order (round, then script
+/// order).
+fn baseline(s: &Scenario) -> Replica {
+    let guard = Guard::unlimited();
+    let mut base = Replica::new(0, s.replicas, &s.db);
+    let last = s.ops.iter().map(|o| o.round).max().unwrap_or(0);
+    for round in 0..=last {
+        for op in s.ops.iter().filter(|o| o.round == round) {
+            base.adopt_op(op.replica, &op.line, &guard).expect("baseline op");
+        }
+    }
+    base
+}
+
 /// The demo scenario shipped in the repo is the walkthrough the README
 /// narrates: it must keep converging, and the duplicate-key insert for
 /// hour h1 / room r1 must be rejected on every replica (5 tuples, not
@@ -52,7 +94,7 @@ fn shipped_demo_scenario_converges_and_rejects_the_conflicting_insert() {
     let text = std::fs::read_to_string("examples/scenarios/partition-heal.txt")
         .expect("demo scenario file");
     let scenario = parse_scenario(&text).expect("demo scenario parses");
-    let report = scenario.run(TraceHandle::default()).expect("within budget");
+    let (report, _) = run(&scenario);
     assert!(report.converged, "demo scenario must converge");
     assert_eq!(report.diverged, None);
     assert!(report.consistent, "converged state must be consistent");
@@ -95,12 +137,6 @@ fn scenario_files_round_trip_through_render_and_parse() {
 /// digest trace line and every counter — replays byte for byte.
 #[test]
 fn simulator_is_deterministic() {
-    let db = parse_scheme(EXAMPLE1).unwrap();
-    let script = ops(&[
-        (0, 0, "insert R1: H=h1 R=r1 C=c1"),
-        (1, 1, "insert R4: C=c1 S=s1 G=g1"),
-        (2, 2, "insert R1: H=h1 R=r1 C=c9"),
-    ]);
     let plan = FaultPlan {
         drop_pct: 25,
         dup_pct: 10,
@@ -108,11 +144,18 @@ fn simulator_is_deterministic() {
         max_delay: 2,
         ..FaultPlan::clean()
     };
-    let run = || {
-        let mut sim = Simulator::new(&db, 3, script.clone(), plan.clone(), SyncPolicy::default(), 9);
-        sim.run(64).expect("within budget")
-    };
-    let (a, b) = (run(), run());
+    let s = scenario(
+        3,
+        &[
+            (0, 0, "insert R1: H=h1 R=r1 C=c1"),
+            (1, 1, "insert R4: C=c1 S=s1 G=g1"),
+            (2, 2, "insert R1: H=h1 R=r1 C=c9"),
+        ],
+        plan,
+        9,
+        64,
+    );
+    let (a, b) = (run(&s).0, run(&s).0);
     assert!(a.converged);
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.ops_shipped, b.ops_shipped);
@@ -122,27 +165,31 @@ fn simulator_is_deterministic() {
 
 /// After convergence the digests are only a summary — the suite's core
 /// claim is that every replica's *rendered state and verdict* agree,
-/// which the simulator asserts internally and we re-check here against
+/// which the runner asserts internally and we re-check here against
 /// replica 0's report.
 #[test]
 fn all_replicas_end_byte_identical_under_faults() {
-    let db = parse_scheme(EXAMPLE1).unwrap();
-    let script = ops(&[
-        (0, 0, "insert R2: H=h1 T=t1 R=r1"),
-        (0, 1, "insert R3: H=h1 T=t1 C=c1"),
-        (1, 2, "insert R1: H=h1 R=r1 C=c1"),
-        (3, 1, "delete R3: H=h1 T=t1 C=c1"),
-    ]);
     let plan = FaultPlan {
         drop_pct: 15,
         delay_pct: 15,
         max_delay: 2,
         ..FaultPlan::clean()
     };
-    let mut sim = Simulator::new(&db, 4, script, plan, SyncPolicy::default(), 3);
-    let report = sim.run(96).expect("within budget");
+    let s = scenario(
+        4,
+        &[
+            (0, 0, "insert R2: H=h1 T=t1 R=r1"),
+            (0, 1, "insert R3: H=h1 T=t1 C=c1"),
+            (1, 2, "insert R1: H=h1 R=r1 C=c1"),
+            (3, 1, "delete R3: H=h1 T=t1 C=c1"),
+        ],
+        plan,
+        3,
+        96,
+    );
+    let (report, replicas) = run(&s);
     assert!(report.converged, "trace:\n{}", report.trace.join("\n"));
-    for r in sim.replicas() {
+    for r in &replicas {
         assert_eq!(r.state_lines(), report.state_lines);
         assert_eq!(r.is_consistent(), report.consistent);
     }
@@ -153,8 +200,7 @@ fn all_replicas_end_byte_identical_under_faults() {
 /// the oracle) — and healing the same partition restores it.
 #[test]
 fn unhealed_partition_prevents_convergence_and_healing_restores_it() {
-    let db = parse_scheme(EXAMPLE1).unwrap();
-    let script = ops(&[(0, 0, "insert R1: H=h1 R=r1 C=c1")]);
+    let script = [(0, 0, "insert R1: H=h1 R=r1 C=c1")];
     let eternal = FaultPlan {
         partitions: vec![Partition {
             from_round: 0,
@@ -163,8 +209,7 @@ fn unhealed_partition_prevents_convergence_and_healing_restores_it() {
         }],
         ..FaultPlan::clean()
     };
-    let mut sim = Simulator::new(&db, 2, script.clone(), eternal, SyncPolicy::default(), 5);
-    let report = sim.run(32).expect("within budget");
+    let (report, _) = run(&scenario(2, &script, eternal, 5, 32));
     assert!(!report.converged, "partitioned replicas cannot converge");
     assert_eq!(report.diverged, None, "non-convergence is not divergence");
 
@@ -176,10 +221,35 @@ fn unhealed_partition_prevents_convergence_and_healing_restores_it() {
         }],
         ..FaultPlan::clean()
     };
-    let mut sim = Simulator::new(&db, 2, script, healing, SyncPolicy::default(), 5);
-    let report = sim.run(64).expect("within budget");
+    let (report, _) = run(&scenario(2, &script, healing, 5, 64));
     assert!(report.converged, "healed partition must converge");
     assert_eq!(report.state_lines.len(), 1);
+}
+
+/// A crash pinned to every protocol step — start of round, digest
+/// request, digest reply, ops push — fires once on each transport, and
+/// the group still converges to the never-partitioned baseline: same
+/// state lines and verdict on every replica.
+#[test]
+fn a_crash_at_every_step_converges_on_both_transports() {
+    let text = std::fs::read_to_string("examples/scenarios/crash-every-step.txt")
+        .expect("crash scenario file");
+    let mut s = parse_scenario(&text).expect("crash scenario parses");
+    let base = baseline(&s);
+    for transport in [Transport::Sim, Transport::Wire] {
+        s.transport = transport;
+        let (report, replicas) = run(&s);
+        let name = transport.name();
+        assert_eq!(report.crashes, 4, "{name}: every crash point fires once");
+        assert!(report.converged, "{name}: trace:\n{}", report.trace.join("\n"));
+        assert_eq!(report.diverged, None, "{name}");
+        assert_eq!(report.state_lines, base.state_lines(), "{name}");
+        assert_eq!(report.consistent, base.is_consistent(), "{name}");
+        for r in &replicas {
+            assert_eq!(r.state_lines(), base.state_lines(), "{name}: replica {}", r.id());
+            assert_eq!(r.is_consistent(), base.is_consistent(), "{name}: replica {}", r.id());
+        }
+    }
 }
 
 /// Bounded in-process run of the oracle's sixth arm — the `cargo test`
