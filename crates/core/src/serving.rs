@@ -122,8 +122,8 @@ struct Slot {
 struct Share {
     si: usize,
     /// Unit positions of the ops whose substate edit changed the state,
-    /// in apply order.
-    edits: Vec<usize>,
+    /// in apply order; a delete carries the row its tombstone holds.
+    edits: Vec<(usize, Option<usize>)>,
     /// The tableau was mutated and must be rebuilt on rollback.
     tableau: bool,
     why: Option<RejectionExplanation>,
@@ -585,6 +585,14 @@ impl HubShared {
         // In-memory sinks log nothing; stamp wal-append here (first
         // write wins, so a durable sink's own stamp stands).
         timeline::stamp_current(Phase::WalAppend);
+        // Past the rollback point, tombstones may be compacted away.
+        for (slot, share) in guards.iter_mut().zip(&shares) {
+            for &(k, row) in &share.edits {
+                if row.is_some() {
+                    slot.state.relation_mut(ops[k].rel()).compact_if_sparse();
+                }
+            }
+        }
         let applied = verdicts.iter().filter(|&&v| v).count() as u64;
         if applied > 0 {
             self.stale.store(true, Ordering::Release);
@@ -638,13 +646,9 @@ impl HubShared {
         let mut pos = 0;
         while pos < idxs.len() {
             if let BatchOp::Delete { rel, t } = &ops[idxs[pos]] {
-                if slot
-                    .state
-                    .remove(*rel, t)
-                    .expect("relation index was validated by slot_of")
-                {
+                if let Some(row) = slot.state.relation_mut(*rel).tombstone(t) {
                     verdicts[idxs[pos]] = true;
-                    share.edits.push(idxs[pos]);
+                    share.edits.push((idxs[pos], Some(row)));
                     share.tableau = true;
                     if slot.chase.failure().is_some() {
                         stale = true;
@@ -719,7 +723,7 @@ impl HubShared {
                         .insert(*rel, t.clone())
                         .expect("tuple was chased against scheme rel, so it matches")
                     {
-                        share.edits.push(k);
+                        share.edits.push((k, None));
                     }
                     verdicts[k] = true;
                 }
@@ -762,19 +766,22 @@ impl HubShared {
     /// edits in reverse order, then rebuilds the tableau once if the
     /// share mutated it. A rebuild, not a sequence of retractions: a
     /// failed unit may leave a run mid-chase, and the path is cold.
+    ///
+    /// An insert is undone by dropping the row it appended and a delete
+    /// by refilling its tombstone, so every relation gets back its
+    /// pre-unit insertion order — part of log == memory, since `render`
+    /// and the fingerprints show it.
     fn undo_share(&self, slot: &mut Slot, share: &Share, ops: &[BatchOp]) {
-        for &k in share.edits.iter().rev() {
-            match &ops[k] {
-                BatchOp::Insert { rel, t } => {
-                    slot.state
-                        .remove(*rel, t)
-                        .expect("undoing an insert this unit applied");
+        for &(k, row) in share.edits.iter().rev() {
+            match (&ops[k], row) {
+                (BatchOp::Insert { rel, t }, None) => {
+                    let last = slot.state.relation_mut(*rel).pop();
+                    assert_eq!(last.as_ref(), Some(t), "undoing the unit's last append");
                 }
-                BatchOp::Delete { rel, t } => {
-                    slot.state
-                        .insert(*rel, t.clone())
-                        .expect("undoing a delete this unit applied");
+                (BatchOp::Delete { rel, t }, Some(row)) => {
+                    slot.state.relation_mut(*rel).restore(row, t.clone());
                 }
+                _ => unreachable!("an insert edit has no row, a delete edit has one"),
             }
         }
         if share.tableau {
@@ -866,13 +873,24 @@ impl HubShared {
                 hm.epochs_published.inc();
                 hm.epoch.set(epoch);
                 hm.epoch_lag.set(0);
+            }
+            let replaced = std::mem::replace(
+                &mut *published,
+                Arc::new(Snapshot {
+                    epoch,
+                    state,
+                    consistent,
+                }),
+            );
+            let snap = Arc::clone(&published);
+            // Release the replaced epoch outside the lock; the publish's
+            // time covers it.
+            drop(published);
+            drop(replaced);
+            if let Some(hm) = &self.metrics {
                 hm.publish_us.observe_duration(t0.elapsed());
             }
-            *published = Arc::new(Snapshot {
-                epoch,
-                state,
-                consistent,
-            });
+            return snap;
         }
         Arc::clone(&published)
     }
@@ -1161,11 +1179,11 @@ fn emit_query(
     }
 }
 
-/// Copies every relation slot `si` owns from `src` into `dst`, each one
-/// whole — how the hub carves its slots out of a state and assembles a
-/// published or durable cut from them. A whole-relation clone keeps each
-/// relation's insertion order, which `render` and the fingerprints
-/// compare.
+/// Shares every relation slot `si` owns from `src` into `dst` — how the
+/// hub carves its slots out of a state and assembles a published or
+/// durable cut from them. A relation clone shares its chunks, so this
+/// costs O(#chunks) and copies no tuple, and it keeps each relation's
+/// insertion order, which `render` and the fingerprints compare.
 fn copy_owned(engine: &Engine, si: usize, src: &DatabaseState, dst: &mut DatabaseState) {
     for &i in &engine.blocks().members[si] {
         dst.copy_relation(i, src)
@@ -1177,7 +1195,7 @@ fn copy_owned(engine: &Engine, si: usize, src: &DatabaseState, dst: &mut Databas
 mod tests {
     use super::*;
     use idr_relation::exec::Budget;
-    use idr_relation::{state_of, SchemeBuilder, SymbolTable};
+    use idr_relation::{state_of, Relation, SchemeBuilder, SymbolTable};
     use idr_workload::generators::block_chain_scheme;
 
     fn two_block_scheme() -> idr_relation::DatabaseScheme {
@@ -1313,6 +1331,47 @@ mod tests {
         assert!(v.is_consistent());
         let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
         assert!(hub.explain(x, &t).is_none(), "speculative row leaked");
+    }
+
+    #[test]
+    fn rolled_back_unit_keeps_insertion_order() {
+        // One block (star(3)): the unit deletes a tuple that is not last
+        // in R0, then trips the guard on an insert that joins k2's rows.
+        let db = idr_workload::generators::star_scheme(3);
+        let mut sym = SymbolTable::new();
+        let state = state_of(
+            &db,
+            &mut sym,
+            &[
+                ("R0", &[("K", "k1"), ("A0", "x1")]),
+                ("R0", &[("K", "k2"), ("A0", "x2")]),
+                ("R1", &[("K", "k2"), ("A1", "y2")]),
+            ],
+        )
+        .unwrap();
+        let engine = Engine::new(db.clone());
+        let hub = engine.hub(&state, &Guard::unlimited()).unwrap();
+        let before = insert_loop_cut(&hub).render(&db, &sym);
+        let u = db.universe();
+        let mut kv = |a: &str, k: &str, v: &str| {
+            Tuple::from_pairs([(u.attr_of("K"), sym.intern(k)), (u.attr_of(a), sym.intern(v))])
+        };
+        let ops = [
+            BatchOp::Delete {
+                rel: 0,
+                t: kv("A0", "k1", "x1"),
+            },
+            BatchOp::Insert {
+                rel: 2,
+                t: kv("A2", "k2", "z2"),
+            },
+        ];
+        let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
+        let err = hub.write_handle().apply_batch(&ops, &tight).unwrap_err();
+        assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
+        // Nothing of the unit was logged, so memory must read exactly as
+        // before it: the same tuples in the same insertion order.
+        assert_eq!(insert_loop_cut(&hub).render(&db, &sym), before);
     }
 
     #[test]
@@ -1463,8 +1522,102 @@ mod tests {
         assert_eq!(hub.read_view().state().total_tuples(), 3);
     }
 
-    /// The old publish, tuple by tuple: the oracle for the whole-relation
-    /// copies.
+    /// `R1(a_e, b_e)` and `R2(c_e, d_e)` of [`two_block_scheme`] for
+    /// entity `e`.
+    fn entity(
+        db: &idr_relation::DatabaseScheme,
+        sym: &mut SymbolTable,
+        rel: usize,
+        e: usize,
+    ) -> Tuple {
+        Tuple::from_pairs(
+            db.scheme(rel)
+                .attrs()
+                .iter()
+                .map(|a| (a, sym.intern(&format!("{}{e}", db.universe().name(a))))),
+        )
+    }
+
+    /// A hub over `n` entities in both relations of [`two_block_scheme`],
+    /// so each relation spans several chunks.
+    fn chunked_hub(n: usize) -> (idr_relation::DatabaseScheme, SymbolTable, Hub) {
+        let db = two_block_scheme();
+        let mut sym = SymbolTable::new();
+        let mut state = DatabaseState::empty(&db);
+        for e in 0..n {
+            for rel in 0..2 {
+                state.insert(rel, entity(&db, &mut sym, rel, e)).unwrap();
+            }
+        }
+        let hub = Engine::new(db.clone()).hub(&state, &Guard::unlimited()).unwrap();
+        (db, sym, hub)
+    }
+
+    #[test]
+    fn a_publish_after_one_write_copies_at_most_one_chunk_per_dirty_relation() {
+        let chunk = Relation::CHUNK_ROWS;
+        let n = 4 * chunk;
+        let (db, mut sym, hub) = chunked_hub(n);
+        let g = Guard::unlimited();
+        let w = hub.write_handle();
+        for round in 0..3 {
+            let shared = hub.read_view();
+            let before = Relation::copied_on_write();
+            // One write per relation: an append to R1, and a delete from
+            // the middle of R2, each landing in a chunk the view shares.
+            assert!(w.insert(0, entity(&db, &mut sym, 0, n + round), &g).unwrap());
+            assert!(w.delete(1, &entity(&db, &mut sym, 1, round * chunk + 7), &g).unwrap());
+            let published = hub.read_view();
+            let copied = Relation::copied_on_write() - before;
+            assert!(
+                copied <= 2 * chunk as u64,
+                "round {round}: two dirty relations copied {copied} tuples"
+            );
+            assert!(published.epoch() > shared.epoch());
+            assert_eq!(shared.state().total_tuples(), 2 * n);
+            assert_eq!(published.state().total_tuples(), 2 * n);
+        }
+    }
+
+    /// A sink that logs nothing and asks for a cut after every unit.
+    #[derive(Debug, Default)]
+    struct CutEveryUnit {
+        cuts: Mutex<Vec<usize>>,
+    }
+
+    impl DurabilitySink for CutEveryUnit {
+        fn log_ops(&self, _ops: &[DurableOp<'_>]) -> Result<(), ExecError> {
+            Ok(())
+        }
+
+        fn op_finished(&self, _ops: usize) -> Result<bool, ExecError> {
+            Ok(true)
+        }
+
+        fn write_snapshot(&self, state: &DatabaseState) -> Result<(), ExecError> {
+            self.cuts.lock().unwrap().push(state.total_tuples());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_quiesced_cut_copies_no_tuple() {
+        let n = 4 * Relation::CHUNK_ROWS;
+        let (db, mut sym, hub) = chunked_hub(n);
+        let sink = Arc::new(CutEveryUnit::default());
+        hub.attach_sink(Arc::clone(&sink) as Arc<dyn DurabilitySink>).unwrap();
+        let g = Guard::unlimited();
+        let w = hub.write_handle();
+        // The first append copies R1's tail chunk away from epoch 0.
+        assert!(w.insert(0, entity(&db, &mut sym, 0, n), &g).unwrap());
+        let before = Relation::copied_on_write();
+        assert!(w.insert(0, entity(&db, &mut sym, 0, n + 1), &g).unwrap());
+        assert_eq!(Relation::copied_on_write() - before, 0, "the cut copied tuples");
+        assert_eq!(*sink.cuts.lock().unwrap(), [2 * n + 1, 2 * n + 2]);
+    }
+
+    /// The slots' substates, cut tuple by tuple: the oracle for the
+    /// shared cuts.
     fn insert_loop_cut(hub: &Hub) -> DatabaseState {
         let mut state = DatabaseState::empty(hub.engine().scheme());
         for s in &hub.shared.slots {
@@ -1515,7 +1668,7 @@ mod tests {
         assert!(view.epoch() > 0);
         let want = insert_loop_cut(&hub);
         for (i, (got, want)) in view.state().relations().iter().zip(want.relations()).enumerate() {
-            let order = |r: &idr_relation::Relation| r.iter().cloned().collect::<Vec<_>>();
+            let order = |r: &Relation| r.iter().cloned().collect::<Vec<_>>();
             assert_eq!(order(got), order(want), "relation {i}");
         }
         assert_eq!(renders(view.state(), &sym), renders(&want, &sym));

@@ -28,6 +28,12 @@ impl DatabaseState {
         &self.relations[i]
     }
 
+    /// Relation `i`, for edits beyond [`insert`](DatabaseState::insert)
+    /// and [`remove`](DatabaseState::remove).
+    pub fn relation_mut(&mut self, i: usize) -> &mut Relation {
+        &mut self.relations[i]
+    }
+
     /// All relations, in scheme order.
     pub fn relations(&self) -> &[Relation] {
         &self.relations
@@ -77,8 +83,9 @@ impl DatabaseState {
         }
     }
 
-    /// Replaces relation `i` with a clone of `src`'s relation `i`, whole:
-    /// no per-tuple insert, and the copy keeps `src`'s insertion order.
+    /// Replaces relation `i` with a clone of `src`'s relation `i`, which
+    /// shares its chunks: no tuple is copied, and the clone keeps `src`'s
+    /// insertion order.
     ///
     /// # Errors
     ///

@@ -20,8 +20,8 @@ use crate::universe::{Attribute, Universe};
 /// maintenance algorithms are built from.
 ///
 /// The values are shared, not owned: cloning a tuple bumps a reference
-/// count, so a relation's index and its insertion-ordered list, and a
-/// published copy of a state, all point at one allocation per tuple.
+/// count, so a relation's rows and the index keyed by those values point
+/// at one allocation per tuple.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     attrs: AttrSet,
@@ -108,6 +108,12 @@ impl Tuple {
     /// Values in ascending attribute order.
     #[inline]
     pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The shared allocation behind [`values`](Tuple::values).
+    #[inline]
+    pub(crate) fn shared_values(&self) -> &Arc<[Value]> {
         &self.values
     }
 

@@ -308,7 +308,7 @@ impl Replica {
             (DatabaseState::empty(self.engine.scheme()), 0)
         };
         let hub = self.engine.hub(&base, guard)?;
-        // The hub holds its own copy of the base state.
+        // The hub shares the base state's chunks; this handle is spare.
         drop(base);
         let lines = order[todo_from..]
             .iter()

@@ -10,8 +10,10 @@
 # Extracts PARENT_REV with `git archive` into a temporary directory
 # outside the repository (as scripts/ab.sh does) and builds both
 # binaries in release mode. The fuzz arms are read from ci.yml, so the
-# gate follows CI: each `run: ./target/release/idr fuzz ...` line is one
-# arm, named by the `- name:` line of its step. The scenario arms run
+# gate follows CI: each `run: ./scripts/fuzz-arm.sh NAME FLAGS...` line
+# is one arm, `idr fuzz FLAGS --metrics target/fuzz-metrics/NAME.json`
+# as scripts/fuzz-arm.sh runs it, named by the `- name:` line of its
+# step. The scenario arms run
 # the working tree's scenario files on both binaries. Every run gets a
 # fresh working directory, so the relative `--out` and `--metrics`
 # paths resolve alike on both sides and nothing is written to the
@@ -49,13 +51,15 @@ cp "$ROOT/target/release/idr" "$TMP/idr-change"
 # One line per arm: `<step name><TAB><idr arguments>`.
 mapfile -t ARMS < <(awk '
   /^ *- name: / { sub(/^ *- name: /, ""); name = $0 }
-  /^ *run: \.\/target\/release\/idr fuzz / {
-    sub(/^ *run: \.\/target\/release\/idr /, "")
-    print name "\t" $0
+  /^ *run: \.\/scripts\/fuzz-arm\.sh / {
+    sub(/^ *run: \.\/scripts\/fuzz-arm\.sh /, "")
+    arm = $1
+    sub(/^[^ ]+ */, "")
+    print name "\tfuzz " $0 " --metrics target/fuzz-metrics/" arm ".json"
   }
 ' .github/workflows/ci.yml)
 if [ ${#ARMS[@]} -eq 0 ]; then
-  echo "fuzzdiff: no idr fuzz step found in .github/workflows/ci.yml" >&2
+  echo "fuzzdiff: no fuzz-arm.sh step found in .github/workflows/ci.yml" >&2
   exit 2
 fi
 for scenario in examples/scenarios/*.txt; do
@@ -69,7 +73,7 @@ run() {
   local bin=$1 args=$2 prefix=$3 code=0
   local -a argv
   read -ra argv <<<"$args"
-  mkdir -p "$prefix.dir"
+  mkdir -p "$prefix.dir/target/fuzz-metrics"
   (cd "$prefix.dir" && "$bin" "${argv[@]}") >"$prefix.out" 2>/dev/null || code=$?
   echo "$code" >"$prefix.code"
 }

@@ -41,62 +41,53 @@ done < <(
 )
 [ "$docs_ok" = 1 ] || exit 1
 
-# Every fuzz run below dumps its engine-metrics snapshot under
-# target/fuzz-metrics/; a snapshot without counters means an arm stopped
-# reporting into --metrics, and fails the gate.
-mkdir -p target/fuzz-metrics
-fuzz() {
-  local name=$1
-  shift
-  ./target/release/idr fuzz "$@" --metrics "target/fuzz-metrics/$name.json"
-  if grep -q '"counters":{}' "target/fuzz-metrics/$name.json"; then
-    echo "fuzz $name: its --metrics snapshot holds no counters" >&2
-    exit 1
-  fi
-}
+# Every fuzz arm below runs through scripts/fuzz-arm.sh, as CI's own fuzz
+# steps do: it dumps the arm's engine-metrics snapshot under
+# target/fuzz-metrics/ and fails on one without counters (an arm that
+# stopped reporting into --metrics).
 
 # Bounded differential-fuzzing smoke run: 100 seed-deterministic cases
 # replayed against four oracles in lockstep (parallel session, serial
 # session, naive chase, Theorem 4.1 expressions). Exits 8 and writes
 # repro fixtures to target/fuzz-failures on any divergence.
-fuzz differential --seed 42 --cases 100 --shrink
+scripts/fuzz-arm.sh differential --seed 42 --cases 100 --shrink
 
 # Crash-point recovery fuzzing: 200 durable op streams, the WAL cut at
 # every byte boundary, each cut recovered and diffed against a
 # never-crashed oracle (tens of thousands of crash points). Exits 8 on
 # any recovery divergence.
-fuzz crash --crash --seed 20260806 --cases 200
+scripts/fuzz-arm.sh crash --crash --seed 20260806 --cases 200
 
 # Replication-convergence fuzzing: 200 random op streams partitioned
 # across 2–4 simulated replicas under random fault plans (drop, delay,
 # duplication, partition + heal, crash mid-sync). Every replica's
 # converged state must match a never-partitioned baseline byte for byte;
 # failures shrink to replayable scenario files. Exits 8 on any miss.
-fuzz sync --sync --seed 42 --cases 200
+scripts/fuzz-arm.sh sync --sync --seed 42 --cases 200
 
 # Concurrent-serving fuzzing: 100 random op schedules run through the
 # hub under racing client threads, the final state diffed against a
 # serial replay of the committed WAL order (Thm 4.2: cross-block ops
 # commute, so the two must agree byte for byte). Exits 8 on any miss.
-fuzz concurrent --concurrent --seed 42 --cases 100
+scripts/fuzz-arm.sh concurrent --concurrent --seed 42 --cases 100
 
 # Mid-batch crash cuts on the group-commit WAL: concurrent durable
 # streams, the log truncated inside coalesced batches, each cut
 # recovered and checked against the committed-prefix oracle.
-fuzz crash-concurrent --crash --concurrent --seed 20260806 --cases 100
+scripts/fuzz-arm.sh crash-concurrent --crash --concurrent --seed 20260806 --cases 100
 
 # Batch-vs-serial equivalence fuzzing: framed op groups applied through
 # apply_batch over a real durable store, diffed per-op against serial
 # application (verdicts, state, consistency, probe answers), then the
 # data dir recovered and diffed again. Exits 8 on any divergence.
-fuzz batch --batch --seed 42 --cases 50
+scripts/fuzz-arm.sh batch --batch --seed 42 --cases 50
 
 # Wire-transport replication fuzzing (docs/WIRE.md): the same scripted
 # fault plans run over real loopback sockets, each replica holding
 # durable journal files on disk; every replica's state, verdict and
 # probe answer diffed byte-for-byte against the never-partitioned
 # baseline. Exits 8 on any miss.
-fuzz wire --sync --wire --seed 42 --cases 50
+scripts/fuzz-arm.sh wire --sync --wire --seed 42 --cases 50
 
 # The checked-in scenarios must converge (and exercise the CLI
 # round-trace path end to end) — on the simulator and over sockets:
