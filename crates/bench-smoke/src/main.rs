@@ -38,7 +38,8 @@
 //!
 //! Since the batch PR the document adds a `chase_scale` section —
 //! absolute wall-clock of 10^5–10^6-tuple bulk streams through the
-//! in-memory hub, batch vs per-op — and
+//! in-memory hub, batch vs per-op, each the median of three runs with
+//! their min and max — and
 //! a `durable_bulk_load` headline: one million tuples into a real
 //! fsync-on store, once per-op (one WAL record + one fsync each, the
 //! PR 7–8 serving discipline) and once as framed batch groups (one WAL
@@ -504,13 +505,36 @@ fn bench_group_commit(
 
 /// Absolute wall-clock of a bulk insert stream through the in-memory
 /// hub, batch vs per-op. These are the honest chase-path numbers at
-/// 10^5–10^6 tuples the toy families cannot produce.
+/// 10^5–10^6 tuples the toy families cannot produce. Each mode runs
+/// [`SCALE_ITERS`] times on a fresh hub; a single run swung by up to
+/// 1.8x between builds that did not touch the chase.
 struct ScaleReport {
     family: String,
     tuples: usize,
     gen_ms: f64,
-    hub_per_op_ms: f64,
-    hub_batch_ms: f64,
+    hub_per_op_ms: Spread,
+    hub_batch_ms: Spread,
+}
+
+/// Runs per mode and size in the `chase_scale` section.
+const SCALE_ITERS: usize = 3;
+
+/// Median, min and max of a handful of wall-clock samples, in ms.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        Spread {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
 }
 
 fn bench_chase_scale(name: &str, db: &DatabaseScheme, tuples: usize) -> ScaleReport {
@@ -520,32 +544,36 @@ fn bench_chase_scale(name: &str, db: &DatabaseScheme, tuples: usize) -> ScaleRep
     let gen_ms = time_once(|| ops = bulk_inserts(db, &mut sym, tuples));
     let engine = Engine::new(db.clone());
     let empty = DatabaseState::empty(db);
-
-    let hub = engine.hub(&empty, &g).expect("empty state is consistent");
-    let writer = hub.write_handle();
-    let hub_per_op_ms = time_once(|| {
-        for (i, t) in &ops {
-            writer.insert(*i, t.clone(), &g).expect("bulk insert");
-        }
-    });
-
-    let hub2 = engine.hub(&empty, &g).expect("empty state is consistent");
-    let writer2 = hub2.write_handle();
     let group: Vec<BatchOp> = ops
         .iter()
         .map(|(i, t)| BatchOp::Insert { rel: *i, t: t.clone() })
         .collect();
-    let hub_batch_ms = time_once(|| {
-        let verdicts = writer2.apply_batch(&group, &g).expect("bulk batch");
-        assert!(verdicts.iter().all(|&v| v), "bulk stream must be accepted");
-    });
+
+    let (mut per_op, mut batch) = (Vec::new(), Vec::new());
+    for _ in 0..SCALE_ITERS {
+        let hub = engine.hub(&empty, &g).expect("empty state is consistent");
+        let writer = hub.write_handle();
+        per_op.push(time_once(|| {
+            for (i, t) in &ops {
+                writer.insert(*i, t.clone(), &g).expect("bulk insert");
+            }
+        }));
+        drop((writer, hub));
+
+        let hub = engine.hub(&empty, &g).expect("empty state is consistent");
+        let writer = hub.write_handle();
+        batch.push(time_once(|| {
+            let verdicts = writer.apply_batch(&group, &g).expect("bulk batch");
+            assert!(verdicts.iter().all(|&v| v), "bulk stream must be accepted");
+        }));
+    }
 
     ScaleReport {
         family: name.to_string(),
         tuples,
         gen_ms,
-        hub_per_op_ms,
-        hub_batch_ms,
+        hub_per_op_ms: Spread::of(per_op),
+        hub_batch_ms: Spread::of(batch),
     }
 }
 
@@ -766,16 +794,21 @@ fn main() {
     println!("    ]");
     println!("  }},");
     println!("  \"chase_scale\": {{");
-    println!("    \"iters\": 1,");
+    println!("    \"iters\": {SCALE_ITERS},");
     println!("    \"families\": [");
     for (k, s) in scale.iter().enumerate() {
         let comma = if k + 1 < scale.len() { "," } else { "" };
+        let (p, b) = (&s.hub_per_op_ms, &s.hub_batch_ms);
         println!("      {{");
         println!("        \"name\": \"{}\",", s.family);
         println!("        \"tuples\": {},", s.tuples);
         println!("        \"gen_ms\": {:.1},", s.gen_ms);
-        println!("        \"hub_per_op_ms\": {:.1},", s.hub_per_op_ms);
-        println!("        \"hub_batch_ms\": {:.1}", s.hub_batch_ms);
+        println!("        \"hub_per_op_ms\": {:.1},", p.median);
+        println!("        \"hub_per_op_min_ms\": {:.1},", p.min);
+        println!("        \"hub_per_op_max_ms\": {:.1},", p.max);
+        println!("        \"hub_batch_ms\": {:.1},", b.median);
+        println!("        \"hub_batch_min_ms\": {:.1},", b.min);
+        println!("        \"hub_batch_max_ms\": {:.1}", b.max);
         println!("      }}{comma}");
     }
     println!("    ]");

@@ -30,6 +30,14 @@
 //!   re-examines just the new row and whatever it transitively touches —
 //!   the incremental maintenance path of the `Engine` facade.
 //!
+//! A row carries one cell per attribute the engine chases, not one per
+//! universe attribute: [`over`](IncrementalChase::over) takes the
+//! attributes (a block's union, whose key dependencies lie inside it),
+//! and a column map translates between columns and universe attributes
+//! at the API boundary. Every input and output speaks universe
+//! attributes; each fd's sides are resolved to columns once, so the
+//! chase itself never consults the map.
+//!
 //! The engine is *resumable*: a budget or deadline trip leaves the
 //! worklist intact, and a later [`run`](IncrementalChase::run) with a
 //! fresh guard picks up where it stopped. An inconsistency poisons the
@@ -88,8 +96,9 @@ use crate::tableau::{ChaseSym, Row, Tableau};
 /// Null link of the intrusive membership lists.
 const NIL: u32 = u32::MAX;
 
-/// One recorded fd-rule firing: fd index, merge column, and the two
-/// rows (representative, probed) the rule was applied to.
+/// One recorded fd-rule firing: fd index, merge column (a universe
+/// attribute), and the two rows (representative, probed) the rule was
+/// applied to.
 #[derive(Clone, Copy, Debug)]
 struct Firing {
     fd: u32,
@@ -161,11 +170,38 @@ pub struct RejectionExplanation {
     pub clash: (Vec<FiringInfo>, Vec<FiringInfo>),
 }
 
+/// How many union-find nodes an [`IncrementalChase`] holds
+/// ([`arena_lens`](IncrementalChase::arena_lens)). Its cell and
+/// membership arenas need no count: they hold
+/// [`width`](IncrementalChase::width) entries per row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArenaLens {
+    /// Union-find nodes: interned constants and dvs, plus every ndv.
+    pub nodes: usize,
+    /// Ndvs allocated for undefined cells.
+    pub ndvs: usize,
+}
+
 /// The incremental chase engine. See the module docs for the design.
 #[derive(Clone, Debug)]
 pub struct IncrementalChase {
+    /// Number of columns: one per attribute the engine chases.
     width: usize,
+    /// The column map, column → universe attribute, ascending. Every
+    /// public input and output speaks universe attributes; only the
+    /// arenas below are indexed by column.
+    attrs: Box<[Attribute]>,
+    /// The inverse map, universe attribute index → column, [`NIL`] for
+    /// an attribute the engine does not chase. Its length is the
+    /// universe width [`to_tableau`](IncrementalChase::to_tableau)
+    /// renders.
+    col_of: Box<[u32]>,
     fds: FdSet,
+    /// Per fd, its left- and right-hand sides as columns (ascending
+    /// attribute order), resolved once so the chase never consults the
+    /// column map per cell.
+    lhs_cols: Vec<Box<[u32]>>,
+    rhs_cols: Vec<Box<[u32]>>,
     /// Union-find parent links; `parent[n] == n` marks a root.
     parent: Vec<u32>,
     /// Canonical symbol per class (valid at roots).
@@ -228,7 +264,7 @@ pub struct IncrementalChase {
     scope: Arc<str>,
     /// Pre-rendered fd labels, parallel to `fds` (built when tracing).
     fd_labels: Vec<Arc<str>>,
-    /// Pre-rendered column labels (built when tracing).
+    /// Pre-rendered column labels, one per column (built when tracing).
     col_labels: Vec<Arc<str>>,
     /// Whether the merge forest and firing log are maintained.
     provenance: bool,
@@ -245,11 +281,46 @@ pub struct IncrementalChase {
 
 impl IncrementalChase {
     /// An empty engine over a universe of `width` attributes, chasing with
-    /// `fds`. The fd set is fixed for the engine's lifetime — the per-fd
-    /// indexes are built against it.
+    /// `fds`: one column per attribute. The fd set is fixed for the
+    /// engine's lifetime — the per-fd indexes are built against it.
     pub fn new(width: usize, fds: &FdSet) -> Self {
+        let all = AttrSet::from_iter((0..width).map(Attribute::from_index));
+        IncrementalChase::over(width, all, fds)
+    }
+
+    /// An empty engine over a universe of `universe_width` attributes
+    /// whose rows carry a column only for `attrs` and the attributes of
+    /// `fds`. A row's other cells would hold fresh ndvs that no rule of
+    /// `fds` ever equates, so leaving them out changes no verdict, class
+    /// or derivation; inputs and outputs stay in universe attributes,
+    /// and [`to_tableau`](IncrementalChase::to_tableau) renders the
+    /// left-out cells as distinct ndvs. [`new`](IncrementalChase::new)
+    /// is this over every attribute.
+    ///
+    /// # Panics
+    ///
+    /// If a column's attribute lies outside the universe.
+    pub fn over(universe_width: usize, attrs: AttrSet, fds: &FdSet) -> Self {
+        let cols = fds.fds().iter().fold(attrs, |acc, fd| acc | fd.attrs());
+        let attrs: Box<[Attribute]> = cols.iter().collect();
+        let mut col_of = vec![NIL; universe_width].into_boxed_slice();
+        for (c, a) in attrs.iter().enumerate() {
+            assert!(
+                a.index() < universe_width,
+                "column {a:?} outside the universe"
+            );
+            col_of[a.index()] = c as u32;
+        }
+        let to_cols = |x: AttrSet| -> Box<[u32]> { x.iter().map(|a| col_of[a.index()]).collect() };
+        let lhs_cols = fds.fds().iter().map(|fd| to_cols(fd.lhs)).collect();
+        let rhs_cols = fds.fds().iter().map(|fd| to_cols(fd.rhs)).collect();
+        let width = attrs.len();
         IncrementalChase {
             width,
+            attrs,
+            col_of,
+            lhs_cols,
+            rhs_cols,
             keyidx: vec![HashMap::new(); fds.fds().len()],
             fds: fds.clone(),
             parent: Vec::new(),
@@ -305,10 +376,12 @@ impl IncrementalChase {
                     None => Arc::from(format!("{fd:?}").as_str()),
                 })
                 .collect();
-            self.col_labels = (0..self.width)
-                .map(|c| match universe {
-                    Some(u) => Arc::from(u.name(Attribute::from_index(c))),
-                    None => Arc::from(format!("col{c}").as_str()),
+            self.col_labels = self
+                .attrs
+                .iter()
+                .map(|&a| match universe {
+                    Some(u) => Arc::from(u.name(a)),
+                    None => Arc::from(format!("col{}", a.index()).as_str()),
                 })
                 .collect();
         }
@@ -371,8 +444,9 @@ impl IncrementalChase {
         self.trace = trace;
     }
 
-    /// The engine over the state tableau `T_r` (§2.2): one row per tuple,
-    /// constants on the origin scheme, fresh ndvs elsewhere. Call
+    /// The engine over the state tableau `T_r` (§2.2), one column per
+    /// universe attribute: one row per tuple, constants on the origin
+    /// scheme, fresh ndvs elsewhere. Call
     /// [`run`](IncrementalChase::run) to chase. Fails with a typed
     /// [`ExecError::CapacityExceeded`] if the state overflows the `u32`
     /// id spaces.
@@ -437,8 +511,9 @@ impl IncrementalChase {
     }
 
     /// Appends a row for a (possibly partial) tuple — constants where the
-    /// tuple is defined, fresh ndvs elsewhere — and marks it dirty.
-    /// Returns the row index, or a typed
+    /// tuple is defined, fresh ndvs elsewhere — and marks it dirty. Only
+    /// the tuple's values on the engine's columns are read. Returns the
+    /// row index, or a typed
     /// [`ExecError::CapacityExceeded`] (before any mutation) when the
     /// row would exhaust a `u32` id space.
     ///
@@ -449,7 +524,7 @@ impl IncrementalChase {
         self.ensure_row_headroom()?;
         let r = self.tags.len() as u32;
         for col in 0..self.width {
-            let node = match tuple.get(Attribute::from_index(col)) {
+            let node = match tuple.get(self.attrs[col]) {
                 Some(v) => self.const_node(col, v),
                 None => {
                     let s = ChaseSym::Ndv(self.next_ndv);
@@ -591,8 +666,11 @@ impl IncrementalChase {
     pub fn rows_of(&self, tuple: &Tuple, tag: Option<usize>) -> Vec<usize> {
         let mut nodes = Vec::new();
         for (a, v) in tuple.iter() {
-            match self.const_nodes[a.index()].get(&v) {
-                Some(&n) => nodes.push((a.index(), n)),
+            let Some(c) = self.column(a) else {
+                return Vec::new();
+            };
+            match self.const_nodes[c].get(&v) {
+                Some(&n) => nodes.push((c, n)),
                 None => return Vec::new(),
             }
         }
@@ -773,12 +851,11 @@ impl IncrementalChase {
                         self.keyidx[fi].insert(key.as_slice().into(), r);
                         continue;
                     }
-                    let fd = self.fds.fds()[fi];
                     let mut any = false;
-                    for a in fd.rhs.iter() {
-                        let na = self.cell(rep, a.index());
-                        let nb = self.cell(r, a.index());
-                        if self.union(na, nb, fi, a, (rep, r), guard)? {
+                    for k in 0..self.rhs_cols[fi].len() {
+                        let c = self.rhs_cols[fi][k] as usize;
+                        let (na, nb) = (self.cell(rep, c), self.cell(r, c));
+                        if self.union(na, nb, fi, c, (rep, r), guard)? {
                             any = true;
                         }
                     }
@@ -793,9 +870,9 @@ impl IncrementalChase {
         Ok(())
     }
 
-    /// Merges the classes of nodes `a` and `b` under the renaming
-    /// precedence of §2.3, applying fd `fi` to the row pair `rows`
-    /// (representative, probed). Returns whether the classes were
+    /// Merges the classes of nodes `a` and `b` of column `col` under the
+    /// renaming precedence of §2.3, applying fd `fi` to the row pair
+    /// `rows` (representative, probed). Returns whether the classes were
     /// distinct. Every row of the losing class is enqueued — those are
     /// exactly the rows whose visible symbol changed.
     fn union(
@@ -803,7 +880,7 @@ impl IncrementalChase {
         a: u32,
         b: u32,
         fi: usize,
-        column: Attribute,
+        col: usize,
         rows: (u32, u32),
         guard: &Guard,
     ) -> Result<bool, ExecError> {
@@ -812,6 +889,7 @@ impl IncrementalChase {
         if ra == rb {
             return Ok(false);
         }
+        let column = self.attrs[col];
         let (win, lose) = match (self.sym[ra as usize], self.sym[rb as usize]) {
             (ChaseSym::Const(_), ChaseSym::Const(_)) => {
                 let e = Inconsistent {
@@ -829,7 +907,7 @@ impl IncrementalChase {
                 });
                 self.trace.emit_with(|| TraceEvent::StateRejected {
                     violating_fd: self.fd_labels[fi].clone(),
-                    column: self.col_labels[column.index()].clone(),
+                    column: self.col_labels[col].clone(),
                     witness_rows: rows,
                 });
                 return Err(e.into());
@@ -884,7 +962,7 @@ impl IncrementalChase {
         }
         self.trace.emit_with(|| TraceEvent::FdRuleFired {
             fd: self.fd_labels[fi].clone(),
-            column: self.col_labels[column.index()].clone(),
+            column: self.col_labels[col].clone(),
             rows,
             dirtied,
         });
@@ -902,10 +980,9 @@ impl IncrementalChase {
     /// `out` (cleared first) — no allocation once `out` has warmed up to
     /// the widest LHS.
     fn fill_key(&mut self, fi: usize, r: u32, out: &mut Vec<u32>) {
-        let lhs = self.fds.fds()[fi].lhs;
         out.clear();
-        for a in lhs.iter() {
-            let n = self.cell(r, a.index());
+        for k in 0..self.lhs_cols[fi].len() {
+            let n = self.cell(r, self.lhs_cols[fi][k] as usize);
             out.push(self.find(n));
         }
     }
@@ -969,6 +1046,22 @@ impl IncrementalChase {
         self.member_tail[root as usize] = entry;
     }
 
+    /// The column of universe attribute `a`, if the engine chases it.
+    #[inline]
+    fn column(&self, a: Attribute) -> Option<usize> {
+        match self.col_of.get(a.index()) {
+            Some(&c) if c != NIL => Some(c as usize),
+            _ => None,
+        }
+    }
+
+    /// Whether every attribute of `x` has a column. A row's cell outside
+    /// the columns would be a fresh ndv no rule equates, so no row is
+    /// total on an `x` that fails this.
+    fn covers(&self, x: AttrSet) -> bool {
+        x.iter().all(|a| self.column(a).is_some())
+    }
+
     /// The node held by cell `(r, col)` in the flat arena.
     #[inline]
     fn cell(&self, r: u32, col: usize) -> u32 {
@@ -1013,7 +1106,10 @@ impl IncrementalChase {
     /// recording ([`with_provenance`](IncrementalChase::with_provenance))
     /// is off.
     pub fn explain_cell(&self, row: usize, column: Attribute) -> Vec<FiringInfo> {
-        self.chain_of(self.cells[row * self.width + column.index()])
+        match self.column(column) {
+            Some(c) => self.chain_of(self.cell(row as u32, c)),
+            None => Vec::new(),
+        }
     }
 
     /// Provenance for the derived total tuple `t` on `x`: the first row
@@ -1021,10 +1117,13 @@ impl IncrementalChase {
     /// per-column firing chains. `None` when no chased row witnesses
     /// `t`.
     pub fn explain_tuple(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
+        if !self.covers(x) {
+            return None;
+        }
         'rows: for r in self.live_rows() {
             let cells = self.row_cells(r);
             for a in x.iter() {
-                match self.sym[self.find_ro(cells[a.index()]) as usize] {
+                match self.sym[self.find_ro(cells[self.col_of[a.index()] as usize]) as usize] {
                     ChaseSym::Const(v) if t.get(a) == Some(v) => {}
                     _ => continue 'rows,
                 }
@@ -1106,20 +1205,34 @@ impl IncrementalChase {
         (0..self.len()).filter(|&r| !self.dead[r])
     }
 
-    /// Number of columns (universe size).
+    /// Number of columns a row carries: one per attribute the engine
+    /// chases (see [`over`](IncrementalChase::over)), which is the
+    /// universe size only for an engine built by
+    /// [`new`](IncrementalChase::new).
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// How many union-find nodes the engine holds.
+    pub fn arena_lens(&self) -> ArenaLens {
+        ArenaLens {
+            nodes: self.parent.len(),
+            ndvs: self.next_ndv as usize,
+        }
     }
 
     /// The restricted projection `πt_X` over the current (chased) rows:
     /// rows all-constant on `x`, projected and deduplicated.
     pub fn total_projection(&self, x: AttrSet) -> Vec<Tuple> {
         let mut out = Vec::new();
+        if !self.covers(x) {
+            return out;
+        }
         'rows: for r in self.live_rows() {
             let cells = self.row_cells(r);
             let mut pairs = Vec::with_capacity(x.len());
             for a in x.iter() {
-                match self.sym[self.find_ro(cells[a.index()]) as usize] {
+                match self.sym[self.find_ro(cells[self.col_of[a.index()] as usize]) as usize] {
                     ChaseSym::Const(v) => pairs.push((a, v)),
                     _ => continue 'rows,
                 }
@@ -1131,22 +1244,40 @@ impl IncrementalChase {
         out
     }
 
-    /// Materialises the current rows with their canonical symbols.
+    /// Materialises the current rows with their canonical symbols, at
+    /// universe width: a cell outside the engine's columns is a fresh
+    /// ndv of its own.
     pub fn to_tableau(&self) -> Tableau {
-        Tableau::from_raw(self.width, self.materialize_rows(), self.next_ndv)
+        let (rows, next_ndv) = self.materialize_rows();
+        Tableau::from_raw(self.col_of.len(), rows, next_ndv)
     }
 
-    fn materialize_rows(&self) -> Vec<Row> {
-        self.live_rows()
-            .map(|r| Row {
-                syms: self
-                    .row_cells(r)
+    /// The live rows at universe width, and the ndv counter past every
+    /// ndv they hold.
+    fn materialize_rows(&self) -> (Vec<Row>, u32) {
+        let mut spare = self.next_ndv;
+        let rows = self
+            .live_rows()
+            .map(|r| {
+                let cells = self.row_cells(r);
+                let syms = self
+                    .col_of
                     .iter()
-                    .map(|&n| self.sym[self.find_ro(n) as usize])
-                    .collect(),
-                tag: self.tags[r],
+                    .map(|&c| match c {
+                        NIL => {
+                            spare += 1;
+                            ChaseSym::Ndv(spare - 1)
+                        }
+                        c => self.sym[self.find_ro(cells[c as usize]) as usize],
+                    })
+                    .collect();
+                Row {
+                    syms,
+                    tag: self.tags[r],
+                }
             })
-            .collect()
+            .collect();
+        (rows, spare)
     }
 }
 
@@ -1162,7 +1293,7 @@ pub fn chase_incremental(
 ) -> Result<ChaseStats, ExecError> {
     let mut engine = IncrementalChase::of_tableau(t, fds)?;
     let stats = engine.run(guard)?;
-    *t.rows_mut() = engine.materialize_rows();
+    *t.rows_mut() = engine.materialize_rows().0;
     Ok(stats)
 }
 

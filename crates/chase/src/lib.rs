@@ -38,7 +38,7 @@ mod weak;
 
 pub use chase_engine::{chase, chase_traced, ChaseOutcome, ChaseStats, Inconsistent};
 pub use incremental::{
-    chase_incremental, CellTrace, FiringInfo, IncrementalChase, RejectionExplanation,
+    chase_incremental, ArenaLens, CellTrace, FiringInfo, IncrementalChase, RejectionExplanation,
     TupleExplanation,
 };
 pub use tableau::{ChaseSym, Row, Tableau};

@@ -161,6 +161,10 @@ struct SchemeFacts {
 pub(crate) struct Blocks {
     /// Each block's relation indices, ascending.
     pub(crate) members: Vec<Vec<usize>>,
+    /// Each block's tableau columns: the union of its member schemes on
+    /// an IR scheme (its key dependencies lie inside it), the universe
+    /// for `whole`.
+    attrs: Vec<AttrSet>,
     fds: Vec<FdSet>,
     /// Relation index → block index.
     pub(crate) block_of: Vec<usize>,
@@ -172,12 +176,14 @@ impl Blocks {
         match recognition {
             Recognition::Accepted(ir) if !ir.is_empty() => Blocks {
                 members: ir.partition.clone(),
+                attrs: ir.block_attrs.clone(),
                 fds: ir.block_fds.clone(),
                 block_of: ir.block_of.clone(),
                 labels: (1..=ir.len()).map(|b| format!("T{b}")).collect(),
             },
             _ => Blocks {
                 members: vec![(0..scheme.len()).collect()],
+                attrs: vec![scheme.universe().all()],
                 fds: vec![kd.full().clone()],
                 block_of: vec![0; scheme.len()],
                 labels: vec!["whole".to_string()],
@@ -403,7 +409,9 @@ impl Engine {
 
     /// Chases block `b`'s substate under the block's fds, emitting its
     /// events (and a closing `block_evaluated`) into `trace` — under
-    /// parallel evaluation that is the block's private shard.
+    /// parallel evaluation that is the block's private shard. The
+    /// tableau carries only the block's columns: a block is chased on
+    /// its own (Lemma 4.2), and no rule of its fds reaches outside them.
     /// Inconsistency poisons the returned engine rather than erroring —
     /// the hub reports it as a verdict.
     pub(crate) fn chase_block(
@@ -414,8 +422,9 @@ impl Engine {
         trace: TraceHandle,
     ) -> Result<IncrementalChase, ExecError> {
         let blocks = self.blocks();
-        let mut e = IncrementalChase::new(self.scheme().universe().len(), &blocks.fds[b])
-            .with_observability(trace.clone(), Some(self.scheme().universe()), &blocks.labels[b])
+        let universe = self.scheme().universe();
+        let mut e = IncrementalChase::over(universe.len(), blocks.attrs[b], &blocks.fds[b])
+            .with_observability(trace.clone(), Some(universe), &blocks.labels[b])
             .with_provenance(self.obs.provenance);
         for &i in &blocks.members[b] {
             for t in state.relation(i).iter() {

@@ -474,6 +474,15 @@ impl Hub {
         self.shared.explain_rejection()
     }
 
+    /// Each block tableau's column count, in block order.
+    pub fn block_widths(&self) -> Vec<usize> {
+        self.shared
+            .slots
+            .iter()
+            .map(|s| lock_slot(s).chase.width())
+            .collect()
+    }
+
     /// Aggregated chase work across every block tableau since the hub
     /// was built, the work of tableaux replaced by rebuilds included —
     /// monotone, so the difference across a write is that write's work.

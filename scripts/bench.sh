@@ -176,7 +176,11 @@ big = [f for f in cs["families"] if f["tuples"] >= 1_000_000]
 assert big, "chase_scale must include a >=10^6-tuple family"
 for f in cs["families"]:
     print(f"chase_scale {f['name']} x{f['tuples']}: gen {f['gen_ms']:.0f} ms, "
-          f"hub per-op {f['hub_per_op_ms']:.0f} ms, hub batch {f['hub_batch_ms']:.0f} ms")
+          f"hub per-op {f['hub_per_op_ms']:.0f} ms "
+          f"[{f['hub_per_op_min_ms']:.0f}-{f['hub_per_op_max_ms']:.0f}], "
+          f"hub batch {f['hub_batch_ms']:.0f} ms "
+          f"[{f['hub_batch_min_ms']:.0f}-{f['hub_batch_max_ms']:.0f}] "
+          f"(median [min-max] of {cs['iters']})")
     assert f["hub_batch_ms"] > 0 and f["hub_per_op_ms"] > 0
 print(f"OK: chase_scale carries {len(big)} family run(s) at >=10^6 tuples")
 

@@ -9,8 +9,9 @@
 #
 # Extracts PARENT_REV with `git archive` into a temporary directory
 # outside the repository (as scripts/ab.sh does) and builds both
-# binaries in release mode. The fuzz arms are read from ci.yml, so the
-# gate follows CI: each `run: ./scripts/fuzz-arm.sh NAME FLAGS...` line
+# binaries in release mode. The fuzz arms are read from ci.yml (through
+# `scripts/fuzz-arm.sh --list-ci`), so the gate follows CI: each
+# `run: ./scripts/fuzz-arm.sh NAME FLAGS...` line
 # is one arm, `idr fuzz FLAGS --metrics target/fuzz-metrics/NAME.json`
 # as scripts/fuzz-arm.sh runs it, named by the `- name:` line of its
 # step. The scenario arms run
@@ -49,19 +50,12 @@ cp "$TMP/parent/target/release/idr" "$TMP/idr-parent"
 cp "$ROOT/target/release/idr" "$TMP/idr-change"
 
 # One line per arm: `<step name><TAB><idr arguments>`.
-mapfile -t ARMS < <(awk '
-  /^ *- name: / { sub(/^ *- name: /, ""); name = $0 }
-  /^ *run: \.\/scripts\/fuzz-arm\.sh / {
-    sub(/^ *run: \.\/scripts\/fuzz-arm\.sh /, "")
-    arm = $1
-    sub(/^[^ ]+ */, "")
-    print name "\tfuzz " $0 " --metrics target/fuzz-metrics/" arm ".json"
-  }
-' .github/workflows/ci.yml)
-if [ ${#ARMS[@]} -eq 0 ]; then
-  echo "fuzzdiff: no fuzz-arm.sh step found in .github/workflows/ci.yml" >&2
-  exit 2
-fi
+ci_steps=$(scripts/fuzz-arm.sh --list-ci) || exit 2
+ARMS=()
+while IFS=$'\t' read -r name step; do
+  read -r arm flags <<<"$step"
+  ARMS+=("$name"$'\t'"fuzz $flags --metrics target/fuzz-metrics/$arm.json")
+done <<<"$ci_steps"
 for scenario in examples/scenarios/*.txt; do
   ARMS+=("sync $scenario"$'\t'"sync $ROOT/$scenario")
   ARMS+=("sync --wire $scenario"$'\t'"sync --wire $ROOT/$scenario")

@@ -89,6 +89,17 @@ scripts/fuzz-arm.sh batch --batch --seed 42 --cases 50
 # baseline. Exits 8 on any miss.
 scripts/fuzz-arm.sh wire --sync --wire --seed 42 --cases 50
 
+# CI's own fuzz steps run each arm at other seeds (and --batch at another
+# case count). Run every `./scripts/fuzz-arm.sh` step of
+# .github/workflows/ci.yml as written there (`fuzz-arm.sh --list-ci`
+# reads them, as for scripts/fuzzdiff.sh), so a green local run covers
+# CI's exact fuzz steps too.
+ci_steps=$(scripts/fuzz-arm.sh --list-ci)
+while IFS=$'\t' read -r _ arm; do
+  read -ra argv <<<"$arm"
+  scripts/fuzz-arm.sh "${argv[@]}"
+done <<<"$ci_steps"
+
 # The checked-in scenarios must converge (and exercise the CLI
 # round-trace path end to end) — on the simulator and over sockets:
 # the partition-and-heal demo, and a crash at every protocol step.
