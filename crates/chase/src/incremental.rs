@@ -270,8 +270,9 @@ pub struct IncrementalChase {
     provenance: bool,
     /// Firing log (provenance mode).
     firings: Vec<Firing>,
-    /// Uncompressed merge forest, parallel to `parent` (provenance
-    /// mode). Unlike `parent`, never rewritten by path compression.
+    /// Uncompressed merge forest, parallel to `parent` while provenance
+    /// is on and empty otherwise; a node past its end has no link.
+    /// Unlike `parent`, never rewritten by path compression.
     link: Vec<Option<MergeLink>>,
     /// The firing that found the inconsistency, if any.
     rejection: Option<Firing>,
@@ -399,6 +400,9 @@ impl IncrementalChase {
     /// unaffected either way.
     pub fn with_provenance(mut self, on: bool) -> Self {
         self.provenance = on;
+        if on {
+            self.link.resize(self.parent.len(), None);
+        }
         self
     }
 
@@ -442,6 +446,11 @@ impl IncrementalChase {
     /// rebuilds) emits directly into it.
     pub fn retarget_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
+    }
+
+    /// The trace sink this engine currently emits into.
+    pub fn trace(&self) -> &TraceHandle {
+        &self.trace
     }
 
     /// The engine over the state tableau `T_r` (§2.2), one column per
@@ -741,7 +750,9 @@ impl IncrementalChase {
                 self.parent[n] = n as u32;
                 self.member_head[n] = NIL;
                 self.member_tail[n] = NIL;
-                self.link[n] = None;
+                if let Some(l) = self.link.get_mut(n) {
+                    *l = None;
+                }
                 self.member_next[entry] = NIL;
             }
         }
@@ -848,7 +859,9 @@ impl IncrementalChase {
                         rep_key != key
                     };
                     if stale {
-                        self.keyidx[fi].insert(key.as_slice().into(), r);
+                        *self.keyidx[fi]
+                            .get_mut(key.as_slice())
+                            .expect("the stale slot was just read") = r;
                         continue;
                     }
                     let mut any = false;
@@ -1030,7 +1043,9 @@ impl IncrementalChase {
         self.sym.push(s);
         self.member_head.push(NIL);
         self.member_tail.push(NIL);
-        self.link.push(None);
+        if self.provenance {
+            self.link.push(None);
+        }
         id
     }
 
@@ -1093,7 +1108,7 @@ impl IncrementalChase {
     /// compression only rewrites `parent`, so the chain survives intact.
     fn chain_of(&self, mut node: u32) -> Vec<FiringInfo> {
         let mut out = Vec::new();
-        while let Some(l) = self.link[node as usize] {
+        while let Some(&Some(l)) = self.link.get(node as usize) {
             out.push(self.firing_info(l.firing));
             node = l.winner;
         }

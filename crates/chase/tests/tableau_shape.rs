@@ -6,7 +6,8 @@
 //!   arenas hold one entry per column per row);
 //! * a row allocates an ndv only for the block columns its tuple lacks;
 //! * the chased block tableau holds fewer bytes per row than the same
-//!   rows in a universe-width engine.
+//!   rows in a universe-width engine;
+//! * without provenance a row keeps no merge-forest link per node.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,4 +125,26 @@ fn a_block_tableau_holds_fewer_bytes_per_row_than_a_universe_wide_one() {
             per_row(wide_bytes)
         );
     }
+}
+
+#[test]
+fn without_provenance_a_row_holds_no_merge_links() {
+    // 12 B is one `Option<MergeLink>`: two `u32`s and the tag.
+    const LINK_BYTES: i64 = 12;
+    let n = 5_000;
+    let (u, fds, ts) = fixture(n);
+    let engine = |provenance: bool| {
+        IncrementalChase::over(u.len(), u.set_of(BLOCK), &fds).with_provenance(provenance)
+    };
+    let (off, off_bytes) = held(|| chased(engine(false), &ts));
+    let (on, on_bytes) = held(|| chased(engine(true), &ts));
+    assert_eq!(off.arena_lens(), on.arena_lens());
+    let nodes_per_row = (off.arena_lens().nodes / n) as i64;
+    assert_eq!(nodes_per_row, 4);
+    assert!(
+        on_bytes - off_bytes >= LINK_BYTES * nodes_per_row * n as i64,
+        "provenance off saves {} B/row, want at least {} B/row",
+        (on_bytes - off_bytes) / n as i64,
+        LINK_BYTES * nodes_per_row
+    );
 }

@@ -15,7 +15,8 @@
 //! blocks are independent, so per-block consistency is global
 //! consistency), and when the engine is built with
 //! [`parallel`](Engine::with_parallel) enabled the per-block chases run
-//! on scoped threads. Budgets stay global: every worker charges the same
+//! on scoped threads, as do the per-block shares of a write unit that
+//! spans several blocks. Budgets stay global: every worker charges the same
 //! shared [`Guard`], whose counters are atomic. Results are written into
 //! per-block slots, so parallel evaluation is *deterministic* — the same
 //! inputs produce the same verdicts, stats and (block-ordered) first
@@ -84,7 +85,7 @@ use idr_fd::{FdSet, KeyDeps};
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
 use idr_relation::algebra::Expr;
 use idr_relation::exec::{ExecError, Guard};
-use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Tuple};
+use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Relation, Tuple};
 
 use crate::classify::{classify, Classification};
 use crate::durability::DurabilitySink;
@@ -219,8 +220,10 @@ impl Engine {
         }
     }
 
-    /// Enables or disables block-parallel evaluation. Serial and parallel
-    /// runs produce identical results; parallel only changes wall-clock.
+    /// Enables or disables block-parallel evaluation: a hub build's
+    /// block chases and a multi-block write unit's shares. Serial and
+    /// parallel runs produce identical results and traces; parallel only
+    /// changes wall-clock.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -451,43 +454,72 @@ fn finish_run(mut e: IncrementalChase, guard: &Guard) -> Result<IncrementalChase
     }
 }
 
-/// Evaluates `f(0), …, f(count − 1)` into index-ordered slots, on scoped
-/// threads when `parallel` (blocks are split evenly across
-/// `available_parallelism` workers). The output order — and therefore
-/// which error a caller scanning in block order sees first — is identical
-/// either way.
-pub fn evaluate_blocks<T, F>(count: usize, parallel: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(count)
+/// The host's core count, read once per process:
+/// `available_parallelism` reads cgroup files on every call, too slow
+/// for a decision taken per write unit.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The workers [`evaluate_blocks`] runs `count` items on: one unless
+/// `parallel` and there are two items or more — so a single item never
+/// reads the core count — then one per core, at most one per item.
+pub(crate) fn fan_out_workers(count: usize, parallel: bool) -> usize {
+    if parallel && count > 1 {
+        cores().min(count)
     } else {
         1
-    };
-    if workers <= 1 {
-        return (0..count).map(f).collect();
     }
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let chunk = count.div_ceil(workers);
+}
+
+/// Maps `f` over `items` into an index-ordered result — the one fan-out
+/// of the hub's per-block work (a build's block chases, a write unit's
+/// shares). With `parallel` and two items or more, the items are
+/// split into one even chunk per core (at most one per item); the first
+/// runs on the calling thread and each other on a scoped thread, so at
+/// most cores − 1 threads are spawned. The output order — and therefore
+/// which error a caller scanning in block order sees first — is
+/// identical either way. The rows a worker copies out of shared relation
+/// chunks are added to the caller's [`Relation::copied_on_write`] at the
+/// join, so the per-thread count covers the whole fan-out.
+pub fn evaluate_blocks<I, T, F>(items: Vec<I>, parallel: bool, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let workers = fan_out_workers(items.len(), parallel);
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    let mut items = items.into_iter();
+    let first: Vec<I> = items.by_ref().take(chunk).collect();
+    let mut rest: Vec<Vec<I>> = Vec::with_capacity(workers - 1);
+    while items.len() > 0 {
+        rest.push(items.by_ref().take(chunk).collect());
+    }
+    let f = &f;
     std::thread::scope(|s| {
-        for (ci, slice) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (j, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(ci * chunk + j));
-                }
-            });
+        let spawned: Vec<_> = rest
+            .into_iter()
+            .map(|part| {
+                s.spawn(move || {
+                    let before = Relation::copied_on_write();
+                    let out: Vec<T> = part.into_iter().map(f).collect();
+                    (out, Relation::copied_on_write() - before)
+                })
+            })
+            .collect();
+        let mut out: Vec<T> = first.into_iter().map(f).collect();
+        for h in spawned {
+            let (part, copied) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            out.extend(part);
+            Relation::add_copied_on_write(copied);
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect()
+        out
+    })
 }
 
 #[cfg(test)]
@@ -757,7 +789,7 @@ mod tests {
     #[test]
     fn evaluate_blocks_is_index_ordered() {
         for parallel in [false, true] {
-            let got = evaluate_blocks(17, parallel, |i| i * i);
+            let got = evaluate_blocks((0..17).collect(), parallel, |i: usize| i * i);
             let want: Vec<usize> = (0..17).map(|i| i * i).collect();
             assert_eq!(got, want, "parallel={parallel}");
         }

@@ -80,7 +80,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -91,7 +91,7 @@ use idr_relation::exec::{ExecError, Guard};
 use idr_relation::{AttrSet, DatabaseState, Tuple};
 
 use crate::durability::{DurabilitySink, DurableOp};
-use crate::engine::{evaluate_blocks, Engine, SHARD_CAPACITY};
+use crate::engine::{evaluate_blocks, fan_out_workers, Engine, SHARD_CAPACITY};
 
 /// An immutable, epoch-stamped cut of the hub's state. Cheap to share
 /// (`Arc`ed by [`ReadView`]); queries over it are wait-free with respect
@@ -116,11 +116,13 @@ struct Slot {
     retired: ChaseStats,
 }
 
-/// One slot's part in a write unit: what its rollback point must revert,
-/// and the provenance of its last rejected insert.
+/// One slot's part in a write unit: its verdicts, what its rollback
+/// point must revert, and the provenance of its last rejected insert.
 #[derive(Debug)]
 struct Share {
     si: usize,
+    /// Unit positions of the ops whose verdict is *accepted* / *removed*.
+    accepted: Vec<usize>,
     /// Unit positions of the ops whose substate edit changed the state,
     /// in apply order; a delete carries the row its tombstone holds.
     edits: Vec<(usize, Option<usize>)>,
@@ -133,6 +135,7 @@ impl Share {
     fn new(si: usize) -> Share {
         Share {
             si,
+            accepted: Vec::new(),
             edits: Vec::new(),
             tableau: false,
             why: None,
@@ -195,6 +198,9 @@ struct HubMetrics {
     guard_enumeration: Arc<Gauge>,
     /// Full block-tableau rebuilds: `hub.block_rebuilds`.
     block_rebuilds: Arc<Counter>,
+    /// Write units whose shares ran on more than one worker:
+    /// `hub.units_fanned_out`.
+    units_fanned_out: Arc<Counter>,
     /// Surviving rows re-chased by component-local repairs:
     /// `hub.repaired_rows`.
     repaired_rows: Arc<Counter>,
@@ -223,6 +229,7 @@ impl HubMetrics {
             guard_lookups: m.gauge("guard.lookups"),
             guard_enumeration: m.gauge("guard.enumeration"),
             block_rebuilds: m.counter("hub.block_rebuilds"),
+            units_fanned_out: m.counter("hub.units_fanned_out"),
             repaired_rows: m.counter("hub.repaired_rows"),
         }
     }
@@ -340,7 +347,7 @@ impl Hub {
         // emits straight into the sink, so no shard capacity bounds it.
         let shards = (obs.tracer.enabled() && blocks > 1)
             .then(|| ShardedLog::new(blocks, SHARD_CAPACITY));
-        let built = evaluate_blocks(blocks, engine.parallel_enabled(), |b| {
+        let built = evaluate_blocks((0..blocks).collect(), engine.parallel_enabled(), |b| {
             let trace = match &shards {
                 Some(sh) => TraceHandle::to_log(Arc::clone(sh.shard(b))),
                 None => obs.tracer.clone(),
@@ -562,16 +569,59 @@ impl HubShared {
             .collect();
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
-        // Phase 1 — earn every verdict, editing slots in place.
-        let mut verdicts = vec![false; ops.len()];
-        let mut shares: Vec<Share> = Vec::with_capacity(guards.len());
-        let mut failure: Option<ExecError> = None;
-        for (slot, (&si, idxs)) in guards.iter_mut().zip(&by_slot) {
-            shares.push(Share::new(si));
-            let share = shares.last_mut().expect("just pushed");
-            if let Err(e) = self.apply_share(slot, share, ops, idxs, &mut verdicts, guard) {
-                failure = Some(e);
-                break;
+        // Phase 1 — earn every verdict, editing slots in place. By
+        // Thm 4.2 a block's verdicts depend on its own ops only, so the
+        // shares of a unit spanning several blocks run on their own
+        // workers (one, inline, under `--serial` or for a single block).
+        let n = by_slot.len();
+        let parallel = self.engine.parallel_enabled();
+        let tracer = &self.engine.observability().tracer;
+        // While tracing, each share emits into its own shard, drained in
+        // slot order at the join: the stream a serial run emits. A unit
+        // may be a whole client group, so a shard never drops.
+        let shards = (tracer.enabled() && n > 1).then(|| ShardedLog::new(n, usize::MAX));
+        // A serial run stops at its first failing share; a later share
+        // does not start once an earlier one has failed. `Relaxed`: the
+        // index publishes no data (results come back through the join,
+        // which orders the final read below after every write).
+        let failed_at = AtomicUsize::new(usize::MAX);
+        let items: Vec<_> = guards
+            .iter_mut()
+            .zip(&by_slot)
+            .enumerate()
+            .map(|(j, (slot, (&si, idxs)))| (j, &mut **slot, Share::new(si), idxs.as_slice()))
+            .collect();
+        let ran = evaluate_blocks(items, parallel, |(j, slot, mut share, idxs)| {
+            if failed_at.load(Ordering::Relaxed) < j {
+                return (share, Ok(()));
+            }
+            if let Some(sh) = &shards {
+                slot.chase
+                    .retarget_trace(TraceHandle::to_log(Arc::clone(sh.shard(j))));
+            }
+            let r = self.apply_share(slot, &mut share, ops, idxs, guard);
+            if r.is_err() {
+                failed_at.fetch_min(j, Ordering::Relaxed);
+            }
+            (share, r)
+        });
+        let (shares, results): (Vec<Share>, Vec<_>) = ran.into_iter().unzip();
+        let mut failure = results.into_iter().find_map(Result::err);
+        // Shares past the first failing one ran only because they ran
+        // concurrently: their events stay in their shards, discarded
+        // after their rollback, as a serial run never emits them.
+        let shown = failed_at.load(Ordering::Relaxed).saturating_add(1).min(n);
+        if let Some(sh) = &shards {
+            for (j, slot) in guards.iter_mut().enumerate().take(shown) {
+                for e in sh.shard(j).drain() {
+                    tracer.emit(e);
+                }
+                slot.chase.retarget_trace(tracer.clone());
+            }
+        }
+        if let Some(hm) = &self.metrics {
+            if fan_out_workers(n, parallel) > 1 {
+                hm.units_fanned_out.inc();
             }
         }
         if failure.is_none() {
@@ -589,6 +639,12 @@ impl HubShared {
             for (slot, share) in guards.iter_mut().zip(&shares) {
                 self.undo_share(slot, share, ops);
             }
+            if let Some(sh) = &shards {
+                for (j, slot) in guards.iter_mut().enumerate().skip(shown) {
+                    sh.shard(j).drain();
+                    slot.chase.retarget_trace(tracer.clone());
+                }
+            }
             return Err(e);
         }
         // In-memory sinks log nothing; stamp wal-append here (first
@@ -601,6 +657,10 @@ impl HubShared {
                     slot.state.relation_mut(ops[k].rel()).compact_if_sparse();
                 }
             }
+        }
+        let mut verdicts = vec![false; ops.len()];
+        for &k in shares.iter().flat_map(|s| &s.accepted) {
+            verdicts[k] = true;
         }
         let applied = verdicts.iter().filter(|&&v| v).count() as u64;
         if applied > 0 {
@@ -624,9 +684,9 @@ impl HubShared {
         Ok((verdicts, by_slot.len()))
     }
 
-    /// Earns one slot's share of a unit's verdicts in place, filling
-    /// `verdicts` at the ops' unit positions and recording in `share`
-    /// what the rollback point must revert.
+    /// Earns one slot's share of a unit's verdicts in place, recording
+    /// in `share` the accepted ops' unit positions and what the rollback
+    /// point must revert.
     ///
     /// A delete edits the substate and retracts the deleted tuple's rows
     /// from the tableau at once, charged to the unit's guard (see
@@ -647,7 +707,6 @@ impl HubShared {
         share: &mut Share,
         ops: &[BatchOp],
         idxs: &[usize],
-        verdicts: &mut [bool],
         guard: &Guard,
     ) -> Result<(), ExecError> {
         // `true` while a poisoned tableau trails the substate by a delete.
@@ -656,7 +715,7 @@ impl HubShared {
         while pos < idxs.len() {
             if let BatchOp::Delete { rel, t } = &ops[idxs[pos]] {
                 if let Some(row) = slot.state.relation_mut(*rel).tombstone(t) {
-                    verdicts[idxs[pos]] = true;
+                    share.accepted.push(idxs[pos]);
                     share.edits.push((idxs[pos], Some(row)));
                     share.tableau = true;
                     if slot.chase.failure().is_some() {
@@ -683,10 +742,10 @@ impl HubShared {
             if let Some(f) = slot.chase.failure() {
                 return Err(f.clone().into());
             }
-            if !self.chase_inserts(slot, share, ops, run, verdicts, guard)? && run.len() > 1 {
+            if !self.chase_inserts(slot, share, ops, run, guard)? && run.len() > 1 {
                 for k in run {
                     let one = std::slice::from_ref(k);
-                    self.chase_inserts(slot, share, ops, one, verdicts, guard)?;
+                    self.chase_inserts(slot, share, ops, one, guard)?;
                 }
             }
         }
@@ -712,7 +771,6 @@ impl HubShared {
         share: &mut Share,
         ops: &[BatchOp],
         run: &[usize],
-        verdicts: &mut [bool],
         guard: &Guard,
     ) -> Result<bool, ExecError> {
         share.tableau = true;
@@ -734,7 +792,7 @@ impl HubShared {
                     {
                         share.edits.push((k, None));
                     }
-                    verdicts[k] = true;
+                    share.accepted.push(k);
                 }
                 Ok(true)
             }
@@ -800,12 +858,13 @@ impl HubShared {
     }
 
     /// Replaces slot `si`'s tableau with a fresh chase of its substate,
-    /// emitting into the hub's live tracer — the cold path behind a
-    /// poisoned block, compaction and the rollback point. The replaced
-    /// tableau's work is kept in `retired`.
+    /// emitting where the replaced tableau emitted — the hub's live
+    /// tracer, or the slot's shard while a fanned-out unit runs — the
+    /// cold path behind a poisoned block, compaction and the rollback
+    /// point. The replaced tableau's work is kept in `retired`.
     fn rebuild(&self, slot: &mut Slot, si: usize, guard: &Guard) -> Result<(), ExecError> {
-        let tracer = self.engine.observability().tracer.clone();
-        let fresh = self.engine.chase_block(si, &slot.state, guard, tracer)?;
+        let trace = slot.chase.trace().clone();
+        let fresh = self.engine.chase_block(si, &slot.state, guard, trace)?;
         let old = std::mem::replace(&mut slot.chase, fresh).stats();
         slot.retired.passes += old.passes;
         slot.retired.rule_applications += old.rule_applications;
@@ -1586,6 +1645,34 @@ mod tests {
             assert_eq!(shared.state().total_tuples(), 2 * n);
             assert_eq!(published.state().total_tuples(), 2 * n);
         }
+    }
+
+    #[test]
+    fn a_fanned_out_units_chunk_copies_count_on_the_callers_thread() {
+        let chunk = Relation::CHUNK_ROWS;
+        let n = 4 * chunk;
+        let (db, mut sym, hub) = chunked_hub(n);
+        let _shared = hub.read_view();
+        // One delete from the middle of each relation: a unit over both
+        // blocks, each share copying the chunk the view shares — on a
+        // worker thread when the host has two cores or more.
+        let ops: Vec<BatchOp> = (0..2)
+            .map(|rel| BatchOp::Delete {
+                rel,
+                t: entity(&db, &mut sym, rel, chunk + 7),
+            })
+            .collect();
+        let before = Relation::copied_on_write();
+        let w = hub.write_handle();
+        assert_eq!(
+            w.apply_batch(&ops, &Guard::unlimited()).unwrap(),
+            vec![true, true]
+        );
+        let copied = Relation::copied_on_write() - before;
+        assert!(
+            copied >= 2 * chunk as u64,
+            "two dirtied relations counted {copied} copied tuples"
+        );
     }
 
     /// A sink that logs nothing and asks for a cut after every unit.

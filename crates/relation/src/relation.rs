@@ -100,6 +100,13 @@ impl Relation {
         COPIED.with(Cell::get)
     }
 
+    /// Adds `rows` to this thread's [`copied_on_write`](Relation::copied_on_write)
+    /// count: how a fan-out hands its workers' copies to the thread that
+    /// waits for them.
+    pub fn add_copied_on_write(rows: u64) {
+        COPIED.with(|n| n.set(n.get() + rows));
+    }
+
     fn rows(&self) -> usize {
         self.chunks
             .last()

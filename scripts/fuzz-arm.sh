@@ -8,27 +8,21 @@
 # from the repository root (build the binary first). Fails when the arm
 # fails (exit 8 on any divergence) and when the snapshot's "counters"
 # object is empty, which means the arm stopped reporting into --metrics.
-# scripts/verify.sh and every fuzz step of .github/workflows/ci.yml run
-# their arms through this script.
+# scripts/verify.sh runs every arm, its own and CI's, through this
+# script.
 #
-# --list-ci prints the fuzz steps of .github/workflows/ci.yml, one line
-# per `run: ./scripts/fuzz-arm.sh NAME FLAGS...` step:
-# `<step name><TAB>NAME FLAGS...`, the step name taken from the step's
-# `- name:` line. scripts/verify.sh and scripts/fuzzdiff.sh read CI's
-# arms through it; it fails when ci.yml has no such step.
+# --list-ci prints CI's fuzz arms, one line each, from the checked-in
+# list scripts/ci-fuzz-arms.txt: `<step name><TAB>NAME FLAGS...`.
+# scripts/verify.sh (which CI runs) and scripts/fuzzdiff.sh read CI's
+# arms through it; it fails when the list holds no arm.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = --list-ci ]; then
-  awk '
-    /^ *- name: / { sub(/^ *- name: /, ""); name = $0 }
-    /^ *run: \.\/scripts\/fuzz-arm\.sh / {
-      sub(/^ *run: \.\/scripts\/fuzz-arm\.sh /, "")
-      print name "\t" $0
-      found = 1
-    }
-    END { if (!found) { print "no fuzz-arm.sh step found in .github/workflows/ci.yml" > "/dev/stderr"; exit 1 } }
-  ' .github/workflows/ci.yml
+  if ! grep -v -e '^#' -e '^$' scripts/ci-fuzz-arms.txt; then
+    echo "no fuzz arm listed in scripts/ci-fuzz-arms.txt" >&2
+    exit 1
+  fi
   exit
 fi
 if [ $# -lt 1 ]; then

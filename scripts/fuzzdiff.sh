@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Byte-identical gate for the fuzz arms and the replication scenarios:
-# runs every `idr fuzz` step of .github/workflows/ci.yml, with its seed,
+# runs every CI fuzz arm (scripts/ci-fuzz-arms.txt), with its seed,
 # case count and flags, and `idr sync` and `idr sync --wire` on every
 # examples/scenarios/*.txt, on the `idr` binary of a parent revision and
 # on the working tree's, and compares each arm's stdout and exit code:
@@ -9,12 +9,11 @@
 #
 # Extracts PARENT_REV with `git archive` into a temporary directory
 # outside the repository (as scripts/ab.sh does) and builds both
-# binaries in release mode. The fuzz arms are read from ci.yml (through
-# `scripts/fuzz-arm.sh --list-ci`), so the gate follows CI: each
-# `run: ./scripts/fuzz-arm.sh NAME FLAGS...` line
-# is one arm, `idr fuzz FLAGS --metrics target/fuzz-metrics/NAME.json`
-# as scripts/fuzz-arm.sh runs it, named by the `- name:` line of its
-# step. The scenario arms run
+# binaries in release mode. The fuzz arms are read from the list
+# (through `scripts/fuzz-arm.sh --list-ci`), so the gate follows CI:
+# each `<step name><TAB>NAME FLAGS...` line is one arm,
+# `idr fuzz FLAGS --metrics target/fuzz-metrics/NAME.json` as
+# scripts/fuzz-arm.sh runs it, named by its step name. The scenario arms run
 # the working tree's scenario files on both binaries. Every run gets a
 # fresh working directory, so the relative `--out` and `--metrics`
 # paths resolve alike on both sides and nothing is written to the

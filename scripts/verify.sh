@@ -41,8 +41,7 @@ done < <(
 )
 [ "$docs_ok" = 1 ] || exit 1
 
-# Every fuzz arm below runs through scripts/fuzz-arm.sh, as CI's own fuzz
-# steps do: it dumps the arm's engine-metrics snapshot under
+# Every fuzz arm below runs through scripts/fuzz-arm.sh: it dumps the arm's engine-metrics snapshot under
 # target/fuzz-metrics/ and fails on one without counters (an arm that
 # stopped reporting into --metrics).
 
@@ -89,11 +88,10 @@ scripts/fuzz-arm.sh batch --batch --seed 42 --cases 50
 # baseline. Exits 8 on any miss.
 scripts/fuzz-arm.sh wire --sync --wire --seed 42 --cases 50
 
-# CI's own fuzz steps run each arm at other seeds (and --batch at another
-# case count). Run every `./scripts/fuzz-arm.sh` step of
-# .github/workflows/ci.yml as written there (`fuzz-arm.sh --list-ci`
-# reads them, as for scripts/fuzzdiff.sh), so a green local run covers
-# CI's exact fuzz steps too.
+# CI's own fuzz arms run each arm at other seeds (and --batch at another
+# case count). They are listed once, in scripts/ci-fuzz-arms.txt
+# (`fuzz-arm.sh --list-ci` prints them, as for scripts/fuzzdiff.sh); CI
+# runs them here, so a green local run covers CI's exact fuzz arms.
 ci_steps=$(scripts/fuzz-arm.sh --list-ci)
 while IFS=$'\t' read -r _ arm; do
   read -ra argv <<<"$arm"
